@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check vet build lint escape-gate escape-baseline test race cover fuzz bench-smoke bench bench-parallel bench-hier bench-serve bench-scenario bench-gate serve-gate sampling-gate scenario-smoke scenario-gate scenario soak-smoke soak clean
+.PHONY: check vet build lint test race cover fuzz bench-smoke bench bench-parallel bench-hier bench-serve bench-scenario bench-gate serve-gate sampling-gate scenario-smoke scenario-gate scenario soak-smoke soak clean
 
 # Tier-1 gate: everything CI needs to pass, plus a short instrumented
 # bench run that leaves a machine-readable metrics snapshot behind, a
 # short leak-checked soak, the adversarial scenario matrix (smoke +
-# regression gate), and the perf-, serving- and escape-regression
-# gates against the committed BENCH_hier.json / BENCH_serve.json /
-# BENCH_scenario.json / ESCAPES.json baselines.
-check: vet build lint escape-gate race cover bench-smoke soak-smoke scenario-smoke bench-gate serve-gate sampling-gate scenario-gate
+# regression gate), and the perf- and serving-regression gates against
+# the committed BENCH_hier.json / BENCH_serve.json / BENCH_scenario.json
+# baselines. The test suite runs once, under -race, and that run's
+# coverage profile feeds the coverage gate.
+check: vet build lint race cover bench-smoke soak-smoke scenario-smoke bench-gate serve-gate sampling-gate scenario-gate
 
 vet:
 	$(GO) vet ./...
@@ -22,27 +23,18 @@ build:
 lint:
 	$(GO) run ./cmd/hdlint ./...
 
-# Escape-regression gate: diff the compiler's escape analysis over the
-# hot packages against the committed ESCAPES.json; a new escape inside
-# a //hdlint:hotpath function fails the build (see cmd/escapegate).
-escape-gate:
-	$(GO) run ./cmd/escapegate
-
-# Refresh the committed escape baseline after a reviewed change.
-escape-baseline:
-	$(GO) run ./cmd/escapegate -update
-
 test:
 	$(GO) test ./...
 
+# The race-enabled suite also writes the coverage profile that the
+# cover gate reads, so `make check` runs the tests once.
 race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -timeout 20m -coverprofile=cover.out ./...
 
-# Coverage gate: the deterministic parallel engine must stay ≥90%
-# covered, the serving front end ≥80%, and the tree must not regress
-# below its 80% baseline.
+# Coverage gate over the profile `make race` wrote: the deterministic
+# parallel engine must stay ≥90% covered, the serving front end ≥80%,
+# and the tree must not regress below its 80% baseline.
 cover:
-	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./cmd/covergate -profile cover.out -total 80.0 \
 		-require edgehd/internal/parallel=90 \
 		-require edgehd/internal/serve=80 \

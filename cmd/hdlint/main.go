@@ -1,11 +1,10 @@
 // Command hdlint runs EdgeHD's domain-specific static analysis over the
 // module: determinism (det-rand and its call-graph extension
 // det-rand-transitive, map-order), concurrency hygiene (goroutine-leak,
-// lock-across-io), hot-path allocation discipline (hotpath-alloc over
-// //hdlint:hotpath-annotated kernels), panic policy, error-string style,
-// log style and the telemetry nil-receiver contract. It is part of the
-// tier-1 gate (`make lint`, included in `make check`) and exits
-// non-zero on any diagnostic so regressions fail CI.
+// lock-across-io), panic policy, error-string style, log style and the
+// telemetry nil-receiver contract. It is part of the tier-1 gate
+// (`make lint`, included in `make check`) and exits non-zero on any
+// diagnostic so regressions fail CI.
 //
 // Usage:
 //

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"edgehd/internal/core"
 	"edgehd/internal/dataset"
@@ -254,17 +256,22 @@ func TestAggregatorSlotValidation(t *testing.T) {
 	if _, err := NewAggregator(64, 2, 0); err == nil {
 		t.Fatal("zero slots accepted")
 	}
-	agg := must(NewAggregator(64, 2, 2))
-	a, b := net.Pipe()
-	defer a.Close() //nolint:errcheck // test pipe
-	defer b.Close() //nolint:errcheck // test pipe
-	merged := make(chan error, 1)
-	release := make(chan struct{})
-	close(release)
-	done := make(chan error, 1)
-	go func() { done <- agg.ServeOne(b, 5, merged, release) }()
-	if err := <-done; err == nil {
-		t.Fatal("out-of-range slot accepted")
+	// Each push carries a real model frame, so ServeOne gets past the
+	// read and the rejection must come from slot validation, not from an
+	// I/O timeout.
+	for _, slot := range []int{-1, 2, 5} {
+		agg := must(NewAggregator(64, 2, 2))
+		agg.SetIOTimeout(time.Second)
+		merged := make(chan error, 1)
+		release := make(chan struct{})
+		close(release)
+		pullErr, serveErr := pushAndServe(t, agg, slot, merged, release)
+		if serveErr == nil || !strings.Contains(serveErr.Error(), "out of range") {
+			t.Fatalf("slot %d: ServeOne error %v, want an out-of-range rejection", slot, serveErr)
+		}
+		if pullErr == nil || !strings.Contains(pullErr.Error(), "out of range") {
+			t.Fatalf("slot %d: worker Pull error %v, want the out-of-range rejection", slot, pullErr)
+		}
 	}
 }
 
@@ -284,6 +291,7 @@ func TestAggregatorRejectsWrongShape(t *testing.T) {
 	spec, shards, _ := shardedDataset(t, "APRI", 2, 100)
 	// Worker dims disagree with the aggregator's.
 	cfg := federatedConfig(spec, 512)
+	cfg.IOTimeout = time.Second
 	w, err := NewWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -292,6 +300,7 @@ func TestAggregatorRejectsWrongShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := must(NewAggregator(1024, spec.Classes, 1)) // mismatched dimension
+	agg.SetIOTimeout(time.Second)
 	a, b := net.Pipe()
 	merged := make(chan error, 1)
 	release := make(chan struct{})
@@ -301,8 +310,13 @@ func TestAggregatorRejectsWrongShape(t *testing.T) {
 	if err := w.Push(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err == nil {
-		t.Fatal("aggregator accepted mismatched model dimensions")
+	// Reading the rejection frame frees the aggregator's reply write.
+	const want = "dim 512 != model dim 1024"
+	if err := w.Pull(a); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("worker Pull error %v, want %q", err, want)
+	}
+	if err := <-done; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ServeOne error %v, want %q", err, want)
 	}
 	_ = a.Close()
 	_ = b.Close()

@@ -122,8 +122,6 @@ func (m *Model) normalized() [][]float64 {
 
 // Similarities returns the cosine similarity of q to every class
 // hypervector.
-//
-//hdlint:hotpath
 func (m *Model) Similarities(q hdc.Bipolar) []float64 {
 	norm := m.normalized()
 	sims := make([]float64, m.classes)
@@ -136,16 +134,12 @@ func (m *Model) Similarities(q hdc.Bipolar) []float64 {
 
 // Classify returns the class whose hypervector is most similar to q,
 // together with all similarity values — the associative search.
-//
-//hdlint:hotpath
 func (m *Model) Classify(q hdc.Bipolar) (int, []float64) {
 	sims := m.Similarities(q)
 	return hdc.ArgMax(sims), sims
 }
 
 // Predict returns only the winning class.
-//
-//hdlint:hotpath
 func (m *Model) Predict(q hdc.Bipolar) int {
 	c, _ := m.Classify(q)
 	return c
@@ -163,8 +157,6 @@ const ConfidenceTemperature = 0.02
 
 // Confidence returns the predicted class and the softmax confidence of
 // that prediction. A single-class model is always fully confident.
-//
-//hdlint:hotpath
 func (m *Model) Confidence(q hdc.Bipolar) (class int, conf float64) {
 	sims := m.Similarities(q)
 	class = hdc.ArgMax(sims)

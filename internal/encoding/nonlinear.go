@@ -77,8 +77,6 @@ func (e *Nonlinear) NumFeatures() int { return e.n }
 
 // EncodeFloat returns the pre-binarization hypervector
 // h_i = cos(B_i·F + b_i)·sin(B_i·F).
-//
-//hdlint:hotpath
 func (e *Nonlinear) EncodeFloat(features []float64) []float64 {
 	checkFeatures(len(features), e.n)
 	out := make([]float64, e.d)

@@ -111,8 +111,6 @@ func (e *Sparse) Sparsity() float64 { return e.sparsity }
 // around the end of the feature vector, so every row reads exactly
 // `window` consecutive (mod n) features, matching the sequential BRAM
 // fetch of the hardware pipeline.
-//
-//hdlint:hotpath
 func (e *Sparse) EncodeFloat(features []float64) []float64 {
 	checkFeatures(len(features), e.n)
 	out := make([]float64, e.d)

@@ -52,8 +52,6 @@ func (a Acc) IsZero() bool {
 
 // AddBipolar bundles b into the accumulator: a += b. This is the initial
 // training step C^i = Σ_j H^i_j of §III-B.
-//
-//hdlint:hotpath
 func (a Acc) AddBipolar(b Bipolar) {
 	mustSameDim(len(a.v), b.dim)
 	for w, word := range b.words {
@@ -74,8 +72,6 @@ func (a Acc) AddBipolar(b Bipolar) {
 
 // SubBipolar removes b from the accumulator: a −= b. Retraining uses it
 // to update the mispredicted class (C^wrong = C^wrong − H).
-//
-//hdlint:hotpath
 func (a Acc) SubBipolar(b Bipolar) {
 	mustSameDim(len(a.v), b.dim)
 	for w, word := range b.words {
@@ -97,8 +93,6 @@ func (a Acc) SubBipolar(b Bipolar) {
 // AddBound bundles the bound product pos*b into the accumulator:
 // a += pos ⊙ b. This is one term of the compression sum of eq. (3),
 // H = Σ_i P_i * H_i.
-//
-//hdlint:hotpath
 func (a Acc) AddBound(pos, b Bipolar) {
 	mustSameDim(len(a.v), pos.dim)
 	mustSameDim(len(a.v), b.dim)
@@ -193,8 +187,6 @@ func (a Acc) Norm() float64 {
 // DotBipolar computes Σ a_i·q_i for a bipolar query q without any
 // multiplications: each component is added or subtracted depending on
 // the query bit (the "negation block" of the FPGA design, §V-B).
-//
-//hdlint:hotpath
 func (a Acc) DotBipolar(q Bipolar) int64 {
 	mustSameDim(len(a.v), q.dim)
 	var dot int64

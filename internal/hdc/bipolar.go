@@ -107,8 +107,6 @@ func (b Bipolar) Bind(o Bipolar) Bipolar {
 }
 
 // Hamming returns the number of dimensions on which b and o differ.
-//
-//hdlint:hotpath
 func (b Bipolar) Hamming(o Bipolar) int {
 	mustSameDim(b.dim, o.dim)
 	h := 0
@@ -119,8 +117,6 @@ func (b Bipolar) Hamming(o Bipolar) int {
 }
 
 // Dot returns the integer dot product Σ b_i·o_i = D − 2·Hamming(b, o).
-//
-//hdlint:hotpath
 func (b Bipolar) Dot(o Bipolar) int {
 	return b.dim - 2*b.Hamming(o)
 }

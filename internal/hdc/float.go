@@ -7,8 +7,6 @@ import "math"
 // used by the associative search (§V-B pre-normalization optimization).
 
 // Dot returns the dot product of two equal-length float vectors.
-//
-//hdlint:hotpath
 func Dot(a, b []float64) float64 {
 	mustSameDim(len(a), len(b))
 	var s float64
@@ -71,8 +69,6 @@ func NormalizedAcc(a Acc) []float64 {
 // by adding or subtracting components according to the query bits — the
 // multiplication-free associative search of §V-B applied to
 // pre-normalized class hypervectors.
-//
-//hdlint:hotpath
 func DotSigns(v []float64, q Bipolar) float64 {
 	mustSameDim(len(v), q.Dim())
 	var s float64
@@ -122,8 +118,6 @@ func Softmax(xs []float64) []float64 {
 
 // ArgMax returns the index of the largest element (first on ties), or −1
 // for an empty slice.
-//
-//hdlint:hotpath
 func ArgMax(xs []float64) int {
 	if len(xs) == 0 {
 		return -1

@@ -72,8 +72,6 @@ func entryRangeError(entry int) error {
 // result's WireBytes (and so to InferCommBytes) by construction. The
 // trace id is returned in InferResult.TraceID and the assembled tree is
 // served at /debug/trace/{id}.
-//
-//hdlint:hotpath
 func (s *System) Infer(x []float64, entry int) (InferResult, error) {
 	if entry < 0 || entry >= len(s.leafIndex) {
 		return InferResult{}, entryRangeError(entry)

@@ -85,8 +85,6 @@ func (p *Projection) FanIn() int { return p.fanIn }
 // result with sign(), the query/batch path of the hierarchical encoder.
 // A dimension mismatch (an internal invariant violation) returns an
 // error instead of panicking.
-//
-//hdlint:hotpath
 func (p *Projection) Bipolar(in hdc.Bipolar) (hdc.Bipolar, error) {
 	if in.Dim() != p.inDim {
 		return hdc.Bipolar{}, p.dimError(in.Dim())
@@ -110,8 +108,6 @@ func (p *Projection) Bipolar(in hdc.Bipolar) (hdc.Bipolar, error) {
 // hypervectors and residuals travel through this path so their
 // magnitudes survive aggregation. A dimension mismatch returns an
 // error instead of panicking.
-//
-//hdlint:hotpath
 func (p *Projection) Acc(in hdc.Acc) (hdc.Acc, error) {
 	if in.Dim() != p.inDim {
 		return hdc.Acc{}, p.dimError(in.Dim())

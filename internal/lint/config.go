@@ -63,8 +63,7 @@ type Config struct {
 //   - telemetry-nil over the telemetry instrument types;
 //   - log-style over the instrumented packages (the telemetry layers
 //     and every cmd binary);
-//   - goroutine-leak and lock-across-io everywhere;
-//   - hotpath-alloc over the //hdlint:hotpath-annotated kernels.
+//   - goroutine-leak and lock-across-io everywhere.
 func Default(modPath string) *Config {
 	p := func(rel string) string { return modPath + "/" + rel }
 	return &Config{
@@ -78,7 +77,6 @@ func Default(modPath string) *Config {
 			LogStyle{},
 			GoroutineLeak{},
 			LockAcrossIO{},
-			HotpathAlloc{},
 		},
 		Allow: map[string][]string{
 			// Guard panics (negative dimension, slice out of range,
@@ -131,7 +129,6 @@ func Default(modPath string) *Config {
 			p("cmd/benchdiff"),
 			p("cmd/benchpar"),
 			p("cmd/covergate"),
-			p("cmd/escapegate"),
 			p("cmd/loadgen"),
 		},
 	}

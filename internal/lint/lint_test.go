@@ -504,7 +504,7 @@ func TestRulesHaveNamesAndDocs(t *testing.T) {
 	for _, want := range []string{
 		"det-rand", "det-rand-transitive", "map-order", "panic-policy",
 		"err-style", "telemetry-nil", "log-style",
-		"goroutine-leak", "lock-across-io", "hotpath-alloc",
+		"goroutine-leak", "lock-across-io",
 	} {
 		if !seen[want] {
 			t.Errorf("default config missing rule %q", want)

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The dataflow rules (det-rand-transitive, goroutine-leak,
-// lock-across-io, hotpath-alloc) ride on the module call graph; their
+// The dataflow rules (det-rand-transitive, goroutine-leak and
+// lock-across-io) ride on the module call graph; their
 // fixtures therefore span multiple packages where the single-file
 // rules' fixtures do not.
 
@@ -369,122 +369,6 @@ func (r *Ring) Capture(data []byte) error {
 	}), "lock-across-io")
 	if len(diags) != 0 {
 		t.Fatalf("directive on the Lock line should suppress the section: %v", diags)
-	}
-}
-
-const hotpathFixturePrefix = `package hot
-
-`
-
-func TestHotpathAllocFlagsAllocators(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want string
-	}{
-		{"fmt call", `
-//hdlint:hotpath
-func Encode(xs []float64) string {
-	return fmt.Sprintf("%v", xs)
-}
-`, "fmt.Sprintf"},
-		{"append without prealloc", `
-//hdlint:hotpath
-func Collect(xs []float64) []float64 {
-	var out []float64
-	for _, x := range xs {
-		out = append(out, x*2)
-	}
-	return out
-}
-`, "preallocated"},
-		{"closure per iteration", `
-//hdlint:hotpath
-func Apply(xs []float64) {
-	for i := range xs {
-		f := func() float64 { return xs[i] }
-		_ = f()
-	}
-}
-`, "closure"},
-		{"map in loop", `
-//hdlint:hotpath
-func Buckets(xs []float64) {
-	for range xs {
-		m := make(map[int]float64)
-		_ = m
-	}
-}
-`, "map allocated"},
-		{"interface boxing", `
-//hdlint:hotpath
-func Box(x float64) any {
-	return any(x)
-}
-`, "boxes"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			src := hotpathFixturePrefix
-			if strings.Contains(tc.src, "fmt.") {
-				src += "import \"fmt\"\n"
-			}
-			diags := byRule(checkFixture(t, map[string]string{
-				"internal/hot/h.go": src + tc.src,
-			}), "hotpath-alloc")
-			if len(diags) != 1 {
-				t.Fatalf("hotpath-alloc diagnostics = %d, want 1: %v", len(diags), diags)
-			}
-			if !strings.Contains(diags[0].Message, tc.want) {
-				t.Errorf("diagnostic = %q, want mention of %q", diags[0].Message, tc.want)
-			}
-		})
-	}
-}
-
-func TestHotpathAllocSilentOnCleanKernel(t *testing.T) {
-	diags := byRule(checkFixture(t, map[string]string{
-		"internal/hot/h.go": `package hot
-
-// Dot is a clean kernel: preallocated output, no fmt, no closures.
-//hdlint:hotpath
-func Dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Transform preallocates, so its loop append is sanctioned.
-//hdlint:hotpath
-func Transform(xs []float64) []float64 {
-	out := make([]float64, 0, len(xs))
-	for _, x := range xs {
-		out = append(out, x*2)
-	}
-	return out
-}
-`,
-	}), "hotpath-alloc")
-	if len(diags) != 0 {
-		t.Fatalf("hotpath-alloc fired on clean kernels: %v", diags)
-	}
-}
-
-func TestHotpathAllocIgnoresUnannotatedFunctions(t *testing.T) {
-	diags := byRule(checkFixture(t, map[string]string{
-		"internal/hot/h.go": `package hot
-
-import "fmt"
-
-func Cold(xs []float64) string {
-	return fmt.Sprintf("%v", xs)
-}
-`,
-	}), "hotpath-alloc")
-	if len(diags) != 0 {
-		t.Fatalf("hotpath-alloc fired outside annotated functions: %v", diags)
 	}
 }
 

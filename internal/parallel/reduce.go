@@ -18,8 +18,6 @@ import (
 // place and parts[0] becomes (and is returned as) the total. Callers
 // own the partials, so no defensive copy is made. An empty parts slice
 // returns a zero accumulator.
-//
-//hdlint:hotpath
 func (p *Pool) SumAccs(stage string, parts []hdc.Acc) hdc.Acc {
 	if len(parts) == 0 {
 		return hdc.Acc{}

@@ -134,7 +134,9 @@ type Stats struct {
 	Admitted uint64
 	// Rejected queries were shed with MsgBusy by admission control.
 	Rejected uint64
-	// Replied counts MsgPredict frames successfully written.
+	// Replied counts MsgPredict frames successfully written. A reply
+	// is counted just before its write (and uncounted if the write
+	// fails), so a client that has read a reply always sees it here.
 	Replied uint64
 	// Batches counts dispatched batches; Admitted/Batches is the mean
 	// coalescing factor.
@@ -270,6 +272,12 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.lns[ln] = struct{}{}
 	s.mu.Unlock()
+	// Close sets draining before it snapshots lns, so a listener
+	// registered after that snapshot is closed here instead.
+	if s.isDraining() {
+		_ = ln.Close()
+		return nil
+	}
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -490,14 +498,15 @@ func (s *Server) runBatch(batch []request) {
 	})
 	for i := range batch {
 		r := batch[i]
+		s.replied.Add(1) // before the write; see Stats.Replied
 		err := r.c.write(wire.Message{
 			Header:     wire.Header{Type: wire.MsgPredict, Class: res[i].class, Batch: r.seq},
 			Confidence: res[i].conf,
 		})
 		if err == nil {
-			s.replied.Add(1)
 			r.sp.SetInt("class", int64(res[i].class)).SetInt("batch_size", int64(len(batch)))
 		} else {
+			s.replied.Add(^uint64(0))
 			// The error attribute makes the root span a tail-sampler keep.
 			r.sp.SetStr("error", err.Error())
 			s.log.Warn("reply write failed", "tenant", r.c.tenant, "seq", r.seq, "error", err.Error())

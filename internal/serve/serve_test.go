@@ -407,6 +407,37 @@ func TestReadyAndIdempotentClose(t *testing.T) {
 	}
 }
 
+func TestServeAfterCloseReturns(t *testing.T) {
+	// A listener handed to Serve after Close has snapshotted the
+	// listener set must still be closed, or Serve parks in Accept.
+	reg := NewRegistry()
+	if err := reg.Set("default", testModel(t, 7, 2)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Close: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve after Close still blocked in Accept after 2s")
+	}
+}
+
 func TestServeTelemetryPlane(t *testing.T) {
 	// The full observability surface of the serving path: per-tenant
 	// query counters, the admission queue-depth gauge, serve_query root
