@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: check vet build lint test race cover fuzz bench-smoke bench bench-parallel bench-hier bench-serve bench-scenario bench-gate serve-gate sampling-gate scenario-smoke scenario-gate scenario soak-smoke soak clean
+.PHONY: check vet build lint test race cover fuzz bench-smoke scenario soak-smoke soak clean
 
 # Tier-1 gate: everything CI needs to pass, plus a short instrumented
-# bench run that leaves a machine-readable metrics snapshot behind, a
-# short leak-checked soak, the adversarial scenario matrix (smoke +
-# regression gate), and the perf- and serving-regression gates against
-# the committed BENCH_hier.json / BENCH_serve.json / BENCH_scenario.json
-# baselines. The test suite runs once, under -race, and that run's
-# coverage profile feeds the coverage gate.
-check: vet build lint race cover bench-smoke soak-smoke scenario-smoke bench-gate serve-gate sampling-gate scenario-gate
+# bench run that leaves a machine-readable metrics snapshot behind and
+# a short leak-checked soak. The test suite runs once, under -race, and
+# that run's coverage profile feeds the coverage gate; it includes the
+# adversarial scenario matrix and its exact golden snapshot
+# (internal/scenario). Timing lives in the benchmark harness:
+# `go run ./bench` (see bench/README.md).
+check: vet build lint race cover bench-smoke soak-smoke
 
 vet:
 	$(GO) vet ./...
@@ -56,32 +56,6 @@ bench-smoke:
 	$(GO) run ./cmd/edgehd -dataset PDP -dim 1500 -train 200 -test 80 \
 		-epochs 3 -metrics-out BENCH_smoke.json
 
-# Full benchmark suite (one bench per table/figure plus kernels).
-bench: bench-parallel bench-hier bench-serve bench-scenario
-	$(GO) test -bench=. -benchmem -run=XXX .
-
-# Parallel-engine speedup report: batch encode and hierarchy training
-# at workers=1 vs GOMAXPROCS, written to BENCH_parallel.json together
-# with the host's core count (≈1.0x is expected on one core).
-bench-parallel:
-	$(GO) run ./cmd/benchpar
-
-# Refresh the committed perf baseline: routed inference at D=4096 over
-# star/tree/depth-3 topologies (wall, bytes/query, allocs/op, p95).
-bench-hier:
-	$(GO) run ./cmd/benchdiff -emit
-
-# Refresh the committed serving baseline: 12k verified queries from 4
-# connections against the in-process serve front end (cmd/loadgen).
-bench-serve:
-	$(GO) run ./cmd/loadgen -out BENCH_serve.json
-
-# Refresh the committed adversarial-scenario baseline: run the full
-# fault matrix (internal/scenario) and write BENCH_scenario.json. A
-# failing matrix is never written.
-bench-scenario:
-	$(GO) run ./cmd/benchdiff -scenario -emit -out BENCH_scenario.json
-
 # Short leak-checked soak (~10s): cycles federated rounds and routed
 # inferences, reconciles every cycle's traced wire bytes, and fails on
 # any goroutine or heap drift between the baseline and recent sample
@@ -96,49 +70,13 @@ SOAK_DURATION ?= 30s
 soak:
 	$(GO) run ./cmd/soak -duration $(SOAK_DURATION) -metrics-out BENCH_soak.json
 
-# Scenario smoke: one soak cycle through the whole fault matrix — every
-# scenario must pass all four assertion families (accuracy floors, wire
-# byte reconciliation, bounded recovery, leak-free) and, via the soak
-# loop's byte-identity check, prove seed determinism.
-scenario-smoke:
-	$(GO) run ./cmd/soak -matrix -cycles 1
-
-# Scenario regression gate: rerun the matrix fresh at the committed
-# baseline's shape and diff against BENCH_scenario.json. Any failed
-# scenario fails outright; the metrics are deterministic, so drift
-# gates at the raw warn/fail thresholds with no noise allowance.
-scenario-gate:
-	$(GO) run ./cmd/benchdiff -scenario -check
-
 # Full scenario soak: cycle the matrix repeatedly as a determinism
 # burn-in plus cross-cycle leak hunt (`make scenario SCENARIO_CYCLES=20`
-# for a longer run). Each cycle's canonical report must be byte-
-# identical to the first.
+# for a longer run). Each cycle's report must be byte-identical to the
+# first.
 SCENARIO_CYCLES ?= 5
 scenario:
 	$(GO) run ./cmd/soak -matrix -cycles $(SCENARIO_CYCLES)
 
-# Perf-regression gate: re-bench and diff against the committed
-# baseline. Warns above 5% (soft), fails the build above 15% (hard);
-# timing metrics carry a 4x noise allowance — see cmd/benchdiff.
-bench-gate:
-	$(GO) run ./cmd/benchdiff -check
-
-# Sampling-overhead gate: re-bench the routed-inference pipeline with
-# head/tail trace sampling attached and diff against the unsampled
-# committed baseline. The usual warn/fail bands (with the 4x wall-clock
-# noise allowance) thereby bound how much the sampler itself may cost.
-sampling-gate:
-	$(GO) run ./cmd/benchdiff -check -sampler
-
-# Serving perf gate: replay the loadgen workload and diff the latency
-# family against the committed BENCH_serve.json with the same warn/fail
-# bands (and the 4x wall-clock noise allowance). A candidate with reply
-# mismatches or a leak verdict fails outright.
-serve-gate:
-	$(GO) run ./cmd/loadgen -out BENCH_serve.cand.json
-	$(GO) run ./cmd/benchdiff -serve -baseline BENCH_serve.json -candidate BENCH_serve.cand.json
-	rm -f BENCH_serve.cand.json
-
 clean:
-	rm -f BENCH_smoke.json BENCH_soak.json BENCH_serve.cand.json cover.out
+	rm -f BENCH_smoke.json BENCH_soak.json cover.out

@@ -2,22 +2,16 @@ package edgehd
 
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (run the full set with `go test -bench=. -benchmem`, or a
-// single experiment with e.g. `-bench=Fig10`), plus microbenchmarks of
-// the kernels the FPGA design accelerates (§V). The experiment
-// benchmarks execute a reduced-scale but complete run of the
-// corresponding harness each iteration and report the headline metric
-// through b.ReportMetric; cmd/paper prints the full tables.
+// single experiment with e.g. `-bench=Fig10`). Each benchmark executes
+// a reduced-scale but complete run of the corresponding harness per
+// iteration and reports the headline metric through b.ReportMetric;
+// cmd/paper prints the full tables. Kernel, hierarchy and serving
+// timings live in the benchmark harness (`go run ./bench`).
 
 import (
 	"testing"
 
-	"edgehd/internal/dataset"
-	"edgehd/internal/encoding"
 	"edgehd/internal/experiments"
-	"edgehd/internal/hdc"
-	"edgehd/internal/hierarchy"
-	"edgehd/internal/netsim"
-	"edgehd/internal/rng"
 )
 
 // benchOpts is the reduced experiment scale used per benchmark
@@ -171,135 +165,4 @@ func BenchmarkAblationFanIn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Kernel microbenchmarks (§V): the operations the FPGA pipeline
-// accelerates, measured on the host CPU.
-
-func BenchmarkEncodeSparse(b *testing.B) {
-	enc := mustB(encoding.NewSparse(128, 4000, 1, encoding.SparseConfig{Sparsity: 0.8}))
-	x := rng.New(2).NormVec(128, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.Encode(x)
-	}
-}
-
-func BenchmarkEncodeDense(b *testing.B) {
-	enc := mustB(encoding.NewNonlinear(128, 4000, 1, encoding.NonlinearConfig{}))
-	x := rng.New(2).NormVec(128, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.Encode(x)
-	}
-}
-
-func BenchmarkBipolarDot(b *testing.B) {
-	r := rng.New(3)
-	x := hdc.RandomBipolar(4000, r)
-	y := hdc.RandomBipolar(4000, r)
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += x.Dot(y)
-	}
-	_ = sink
-}
-
-func BenchmarkAssociativeSearch(b *testing.B) {
-	r := rng.New(4)
-	m := mustB(NewModel(4000, 10))
-	for c := 0; c < 10; c++ {
-		for s := 0; s < 20; s++ {
-			m.Add(c, hdc.RandomBipolar(4000, r))
-		}
-	}
-	q := hdc.RandomBipolar(4000, r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(q)
-	}
-}
-
-func BenchmarkHierarchicalProjection(b *testing.B) {
-	p, err := hierarchy.NewProjection(4000, 4000, 64, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := hdc.RandomBipolar(4000, rng.New(6))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Bipolar(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCompressDecompress(b *testing.B) {
-	r := rng.New(7)
-	queries := make([]hdc.Bipolar, 25)
-	for i := range queries {
-		queries[i] = hdc.RandomBipolar(4000, r)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum, pos := hierarchy.Compress(queries, r)
-		hierarchy.Decompress(sum, pos, i%25)
-	}
-}
-
-func BenchmarkHierarchyTrainPDP(b *testing.B) {
-	spec, err := dataset.ByName("PDP")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := spec.Generate(42, dataset.Options{MaxTrain: 200, MaxTest: 50})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		topo, err := netsim.Tree(spec.EndNodes, 2, netsim.Wired1G())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys, err := hierarchy.BuildForDataset(topo, d, hierarchy.Config{TotalDim: 2000, RetrainEpochs: 3, Seed: 9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Train(d.TrainX, d.TrainY); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHierarchyInferPDP(b *testing.B) {
-	spec, err := dataset.ByName("PDP")
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := spec.Generate(42, dataset.Options{MaxTrain: 200, MaxTest: 50})
-	topo, err := netsim.Tree(spec.EndNodes, 2, netsim.Wired1G())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := hierarchy.BuildForDataset(topo, d, hierarchy.Config{TotalDim: 2000, RetrainEpochs: 3, Seed: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sys.Train(d.TrainX, d.TrainY); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Infer(d.TestX[i%len(d.TestX)], i%spec.EndNodes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// mustB unwraps a constructor result; benchmarks treat construction
-// failure as fatal.
-func mustB[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

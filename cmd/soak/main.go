@@ -22,7 +22,7 @@
 //	     [-dim 2000] [-train 200] [-infer 16] [-seed 42]
 //	     [-debug-addr ADDR] [-metrics-out FILE] [-profile-dir DIR]
 //	     [-log-level info]
-//	soak -scenario NAME | -matrix [-cycles N] [-seed 42] [-bench-out FILE]
+//	soak -scenario NAME | -matrix [-cycles N] [-seed 42]
 //
 // -cycles bounds the run by cycle count instead of wall clock (0 =
 // duration-bound). -debug-addr serves /metrics, /healthz, /readyz and
@@ -33,8 +33,7 @@
 // The -scenario and -matrix modes soak-cycle the adversarial fault
 // engine instead (see internal/scenario and scenario.go in this
 // package): every cycle must pass the engine's assertion families and
-// reproduce the first cycle's report byte for byte, and -bench-out
-// writes the final schema-versioned report for cmd/benchdiff -scenario.
+// reproduce the first cycle's report byte for byte.
 package main
 
 import (
@@ -76,7 +75,6 @@ func run(args []string) error {
 	profileDir := fs.String("profile-dir", "", "capture periodic heap/goroutine pprof profiles into this bounded ring")
 	scenarioName := fs.String("scenario", "", "soak-cycle one named adversarial scenario (see internal/scenario)")
 	matrix := fs.Bool("matrix", false, "soak-cycle the full adversarial scenario matrix")
-	benchOut := fs.String("bench-out", "", "with -scenario/-matrix: write the final BENCH_scenario.json report here")
 	logLevel := fs.String("log-level", "info", "structured-log level on stderr: debug, info, warn or error")
 	flightDir := fs.String("flight-dir", "", "write SLO-breach flight bundles (tsdb window, kept traces, logs, profiles) into this directory")
 	sloObjective := fs.Float64("slo-objective", 0.05, "inference-latency SLO objective in seconds (95% of inferences must finish within it); lower it to force a breach deterministically")
@@ -106,12 +104,8 @@ func run(args []string) error {
 			duration: *duration,
 			seed:     *seed,
 			warmup:   *warmup,
-			benchOut: *benchOut,
 			log:      log,
 		})
-	}
-	if *benchOut != "" {
-		return fmt.Errorf("-bench-out requires -scenario or -matrix")
 	}
 
 	life := telemetry.NewLifecycle()

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"time"
 
 	"edgehd/internal/scenario"
@@ -15,12 +14,9 @@ import (
 // pass all of the engine's assertion families (accuracy floors, wire
 // byte reconciliation, bounded recovery, per-run leak checks), and —
 // because the engine is a pure function of its seed — every cycle's
-// canonical report must be byte-identical to the first: the soak loop
+// report must be byte-identical to the first: the soak loop
 // doubles as a determinism burn-in. A soak-level leak detector samples
-// across cycles on top of the engine's per-run detectors, and
-// -bench-out writes the final report in the BENCH_scenario.json schema
-// (wall time stamped here, in the cmd layer; the engine package is
-// clock-free).
+// across cycles on top of the engine's per-run detectors.
 
 type scenarioSoakOpts struct {
 	name     string // one scenario, or "" for the full matrix
@@ -28,7 +24,6 @@ type scenarioSoakOpts struct {
 	duration time.Duration
 	seed     uint64
 	warmup   int
-	benchOut string
 	log      *telemetry.Logger
 }
 
@@ -55,10 +50,8 @@ func runScenarioSoak(o scenarioSoakOpts) error {
 
 	o.log.Info("scenario soak started", "scenario", o.name, "matrix", o.name == "",
 		"cycles", o.cycles, "duration", o.duration.String(), "seed", o.seed)
-	start := time.Now()
-	deadline := start.Add(o.duration)
-	var firstCanon []byte
-	var last *scenario.Report
+	deadline := time.Now().Add(o.duration)
+	var first []byte
 	cycle := 0
 	for {
 		if o.cycles > 0 {
@@ -82,22 +75,21 @@ func runScenarioSoak(o scenarioSoakOpts) error {
 			return fmt.Errorf("cycle %d: scenario assertions failed", cycle)
 		}
 
-		canon, err := rep.Canonical().Encode()
+		enc, err := rep.Encode()
 		if err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
-		if firstCanon == nil {
-			firstCanon = canon
-		} else if !bytes.Equal(firstCanon, canon) {
+		if first == nil {
+			first = enc
+		} else if !bytes.Equal(first, enc) {
 			return fmt.Errorf("cycle %d: report diverged from cycle 0 under an identical seed", cycle)
 		}
-		last = rep
 
 		cycle++
 		det.SampleStable()
 		o.log.Debug("scenario cycle complete", "cycle", cycle)
 	}
-	if last == nil {
+	if first == nil {
 		return fmt.Errorf("no scenario cycle completed within the time budget")
 	}
 
@@ -115,18 +107,6 @@ func runScenarioSoak(o scenarioSoakOpts) error {
 		// cycles to exist.
 		o.log.Warn("soak-level leak verdict skipped", "usable_samples", report.Usable,
 			"needed", 4, "hint", "raise -cycles or lower -warmup")
-	}
-
-	if o.benchOut != "" {
-		last.WallSecs = time.Since(start).Seconds()
-		b, err := last.Encode()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.benchOut, b, 0o644); err != nil {
-			return fmt.Errorf("writing %s: %w", o.benchOut, err)
-		}
-		o.log.Info("scenario report written", "path", o.benchOut)
 	}
 
 	fmt.Printf("scenario soak passed: %d cycle(s) of %s, byte-identical reports, wire bytes reconciled\n",

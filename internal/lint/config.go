@@ -126,10 +126,7 @@ func Default(modPath string) *Config {
 			p("cmd/paper"),
 			p("cmd/soak"),
 			p("cmd/hdlint"),
-			p("cmd/benchdiff"),
-			p("cmd/benchpar"),
 			p("cmd/covergate"),
-			p("cmd/loadgen"),
 		},
 	}
 }

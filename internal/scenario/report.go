@@ -6,17 +6,11 @@ import (
 	"fmt"
 )
 
-// Schema identifies the BENCH_scenario.json layout. Bump on any change
-// to Report or Result field names/semantics; cmd/benchdiff refuses to
-// diff mismatched schemas.
-const Schema = "edgehd.bench_scenario/v1"
-
 // Report is one matrix run: the parameters it ran under, the pool
 // widths it proved identical across, and every scenario's result. All
-// fields are deterministic except the wall-clock stamps, which the cmd
-// layer fills in and Canonical strips.
+// fields are deterministic except Workers, which follows the host's
+// core count (see matrixWidths).
 type Report struct {
-	Schema         string   `json:"schema"`
 	Dataset        string   `json:"dataset"`
 	Dim            int      `json:"dim"`
 	Train          int      `json:"train"`
@@ -24,8 +18,7 @@ type Report struct {
 	Seed           uint64   `json:"seed"`
 	ClusterWorkers int      `json:"cluster_workers"`
 	ClusterDim     int      `json:"cluster_dim"`
-	Workers        []int    `json:"workers"`
-	WallSecs       float64  `json:"wall_secs,omitempty"`
+	Workers        []int    `json:"workers,omitempty"`
 	Scenarios      []Result `json:"scenarios"`
 }
 
@@ -33,7 +26,6 @@ type Report struct {
 func NewReport(p Params, widths []int) *Report {
 	p = p.withDefaults()
 	return &Report{
-		Schema:         Schema,
 		Dataset:        p.Dataset,
 		Dim:            p.Dim,
 		Train:          p.Train,
@@ -55,23 +47,8 @@ func (r *Report) Pass() bool {
 	return len(r.Scenarios) > 0
 }
 
-// Canonical returns a deep copy with every wall-clock field zeroed:
-// the byte-identity form that seed-stability tests and benchdiff
-// compare.
-func (r *Report) Canonical() *Report {
-	c := *r
-	c.WallSecs = 0
-	c.Workers = append([]int(nil), r.Workers...)
-	c.Scenarios = append([]Result(nil), r.Scenarios...)
-	for i := range c.Scenarios {
-		c.Scenarios[i].WallSecs = 0
-		c.Scenarios[i].Failures = append([]string(nil), c.Scenarios[i].Failures...)
-	}
-	return &c
-}
-
 // Encode renders the report as indented JSON with a trailing newline —
-// the exact bytes BENCH_scenario.json holds.
+// the exact bytes the golden matrix snapshot holds.
 func (r *Report) Encode() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -80,21 +57,7 @@ func (r *Report) Encode() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeReport parses a report and validates its schema tag.
-func DecodeReport(b []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("scenario: decode report: %w", err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("scenario: schema %q, want %q", r.Schema, Schema)
-	}
-	return &r, nil
-}
-
-// resultsIdentical reports byte-identity of two results' canonical
-// JSON forms (wall fields are never set by the engine, so a plain
-// marshal is already canonical here).
+// resultsIdentical reports byte-identity of two results' JSON forms.
 func resultsIdentical(a, b Result) bool {
 	ab, errA := json.Marshal(a)
 	bb, errB := json.Marshal(b)

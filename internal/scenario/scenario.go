@@ -14,8 +14,8 @@ import (
 )
 
 // Params shapes one scenario run. The zero value selects the canonical
-// smoke configuration that the committed BENCH_scenario.json baseline,
-// the benchdiff gate, and the test suite all share — per-scenario
+// smoke configuration that the golden matrix snapshot
+// (testdata/golden/matrix.json) and the test suite share — per-scenario
 // accuracy floors are calibrated against exactly this shape, so callers
 // that change it are on their own for floor validity.
 type Params struct {
@@ -141,8 +141,8 @@ func (e *Env) Leaf(pos int) netsim.NodeID { return e.Topo.EndNodes[pos] }
 // of which faults appear on the virtual clock, how the cluster plane's
 // connections misbehave, and what the run must still guarantee.
 type Scenario struct {
-	// Name identifies the scenario in the registry, BENCH_scenario.json
-	// and the -scenario flags.
+	// Name identifies the scenario in the registry, the golden matrix
+	// snapshot and the -scenario flags.
 	Name string
 	// Note is a one-line description for reports.
 	Note string
@@ -179,9 +179,7 @@ type Scenario struct {
 
 // Result is one scenario's outcome. Every field is deterministic for a
 // given (Scenario, Params) pair — byte-identical across runs and pool
-// widths — except WallSecs, which the cmd layer stamps after the run
-// (this package is on the deterministic lint list and cannot read the
-// clock) and which Report.Canonical zeroes before any comparison.
+// widths.
 type Result struct {
 	Name     string   `json:"name"`
 	Note     string   `json:"note,omitempty"`
@@ -214,9 +212,6 @@ type Result struct {
 	LeakSamples    int   `json:"leak_samples"`
 	GoroutineDrift int   `json:"goroutine_drift"`
 	HeapDriftBytes int64 `json:"heap_drift_bytes"`
-
-	// WallSecs is stamped by cmd-layer callers; excluded from identity.
-	WallSecs float64 `json:"wall_secs,omitempty"`
 }
 
 func (r *Result) failf(format string, args ...any) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -165,7 +166,9 @@ func TestBatchedMatchesSequential(t *testing.T) {
 func TestDrainUnderLoad(t *testing.T) {
 	// Close must answer every admitted query before cutting connections:
 	// fire queries from several connections, drain the moment everything
-	// was admitted or shed, and account for every single query.
+	// was admitted or shed, and account for every single query. After
+	// the drain no server goroutine may outlive it.
+	before := runtime.NumGoroutine()
 	model := testModel(t, 11, 3)
 	reg := NewRegistry()
 	if err := reg.Set("default", model); err != nil {
@@ -225,6 +228,16 @@ func TestDrainUnderLoad(t *testing.T) {
 	if predicts != st.Admitted || busys != st.Rejected {
 		t.Fatalf("client saw %d predicts / %d busys, server reports %d admitted / %d rejected",
 			predicts, busys, st.Admitted, st.Rejected)
+	}
+	// The accept loop exits once Accept sees the closed listener, so
+	// give it a moment rather than demanding the count at once.
+	deadline = time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked past Close: %d before the server started, %d after the drain",
+				before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
