@@ -34,7 +34,7 @@
 //	sys.Train(trainX, trainY)
 //	res, _ := sys.Infer(sample, entryNode)
 //
-// See the examples directory for runnable end-to-end scenarios, and
+// See the Example functions for runnable end-to-end scenarios, and
 // cmd/paper for the harness that regenerates every table and figure of
 // the paper's evaluation.
 package edgehd

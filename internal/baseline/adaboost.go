@@ -257,6 +257,3 @@ func (a *AdaBoost) Predict(x []float64) int {
 	}
 	return argMaxF(votes)
 }
-
-// Rounds returns the number of stumps actually fitted.
-func (a *AdaBoost) Rounds() int { return len(a.stumps) }

@@ -1,7 +1,7 @@
 // Package baseline implements the comparison learners of the paper's
 // evaluation, from scratch on the standard library: a multilayer
 // perceptron trained with backpropagation (the paper's TensorFlow DNN),
-// linear and RBF-kernel support vector machines trained with the Pegasos
+// an RBF-kernel support vector machine trained with the Pegasos
 // subgradient method (scikit-learn SVM), SAMME AdaBoost over decision
 // stumps (scikit-learn AdaBoost), and the prior linear-encoding HD
 // classifier of [36] that Fig 7 reports as "baseline HD".

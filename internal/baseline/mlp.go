@@ -240,12 +240,6 @@ func (m *MLP) Predict(x []float64) int {
 	return best
 }
 
-// Probabilities returns the softmax output for a sample.
-func (m *MLP) Probabilities(x []float64) []float64 {
-	out := m.forward(x)[len(m.shapes)-1]
-	return append([]float64(nil), out...)
-}
-
 // ForwardMACs returns the multiply-accumulates of one forward pass —
 // what the device models charge for a DNN inference.
 func (m *MLP) ForwardMACs() int64 {

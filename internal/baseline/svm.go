@@ -7,19 +7,17 @@ import (
 	"edgehd/internal/rng"
 )
 
-// SVM is a one-vs-rest linear support vector machine trained with the
-// Pegasos stochastic subgradient method on the hinge loss. With an RBF
-// random-feature map in front (see NewRBFSVM) it approximates the
-// kernelized SVM the paper benchmarks via scikit-learn.
+// SVM is a linear support vector machine trained with the Pegasos
+// stochastic subgradient method on the hinge loss, behind an RBF
+// random-feature map (see NewRBFSVM), so it approximates the kernelized
+// SVM the paper benchmarks via scikit-learn.
 type SVM struct {
 	cfg     SVMConfig
-	name    string
 	in, out int
-	// w[c] is the weight vector of the c-th one-vs-rest classifier;
-	// b[c] its bias.
+	// w[c] is the weight vector of class c; b[c] its bias.
 	w [][]float64
 	b []float64
-	// rff, when non-nil, maps inputs before the linear machine.
+	// rff maps inputs before the linear machine.
 	rff *encoding.RFF
 	r   *rng.Source
 }
@@ -45,16 +43,6 @@ func (c *SVMConfig) fill() {
 	}
 }
 
-// NewSVM constructs a linear one-vs-rest SVM for in features and out
-// classes.
-func NewSVM(in, out int, cfg SVMConfig) (*SVM, error) {
-	if in <= 0 || out <= 0 {
-		return nil, fmt.Errorf("baseline: non-positive SVM size %dx%d", in, out)
-	}
-	cfg.fill()
-	return &SVM{cfg: cfg, name: "SVM-linear", in: in, out: out, r: rng.New(cfg.Seed)}, nil
-}
-
 // NewRBFSVM constructs an RBF-kernel SVM approximated with rffDim random
 // Fourier features of the given length scale (0 = default 1). This is
 // the configuration Fig 7 calls "SVM": grid-searched kernel SVMs.
@@ -67,20 +55,11 @@ func NewRBFSVM(in, out, rffDim int, lengthScale float64, cfg SVMConfig) (*SVM, e
 	if err != nil {
 		return nil, fmt.Errorf("baseline: rbf-svm feature map: %w", err)
 	}
-	s := &SVM{cfg: cfg, name: "SVM", in: rffDim, out: out, r: rng.New(cfg.Seed)}
-	s.rff = rff
-	return s, nil
+	return &SVM{cfg: cfg, in: rffDim, out: out, rff: rff, r: rng.New(cfg.Seed)}, nil
 }
 
 // Name implements Learner.
-func (s *SVM) Name() string { return s.name }
-
-func (s *SVM) features(x []float64) []float64 {
-	if s.rff != nil {
-		return s.rff.Map(x)
-	}
-	return x
-}
+func (s *SVM) Name() string { return "SVM" }
 
 // Fit implements Learner with the multiclass (Crammer-Singer) Pegasos
 // subgradient method: for each sample, find the most-violating rival
@@ -96,7 +75,7 @@ func (s *SVM) Fit(x [][]float64, y []int) error {
 	}
 	mapped := make([][]float64, len(x))
 	for i, row := range x {
-		mapped[i] = s.features(row)
+		mapped[i] = s.rff.Map(row)
 	}
 	s.w = make([][]float64, s.out)
 	s.b = make([]float64, s.out)
@@ -157,7 +136,7 @@ func (s *SVM) Fit(x [][]float64, y []int) error {
 
 // Decision returns the per-class margins for a sample.
 func (s *SVM) Decision(x []float64) []float64 {
-	xi := s.features(x)
+	xi := s.rff.Map(x)
 	out := make([]float64, s.out)
 	for c := 0; c < s.out; c++ {
 		m := s.b[c]

@@ -7,10 +7,10 @@
 //
 // Where internal/hierarchy simulates the full heterogeneous tree with
 // modelled communication, this package actually moves bytes between
-// concurrent goroutines, demonstrating that the aggregation algebra
-// (Model.Merge) is exactly a sum of wire-transferable accumulators: the
-// federated result is bit-identical to training one model on the union
-// of the shards.
+// concurrent goroutines, demonstrating that the aggregation algebra is
+// exactly a sum of wire-transferable class accumulators: the federated
+// result is bit-identical to training one model on the union of the
+// shards.
 package cluster
 
 import (
@@ -318,10 +318,6 @@ func NewAggregator(dim, classes, slots int) (*Aggregator, error) {
 		traces:    make([]telemetry.TraceContext, slots),
 	}, nil
 }
-
-// SetPool replaces the pool used for the ordered merge reduction (nil
-// or one worker = sequential).
-func (a *Aggregator) SetPool(p *parallel.Pool) { a.pool = p }
 
 // SetIOTimeout replaces the per-frame I/O deadline (default
 // DefaultIOTimeout; non-positive disables deadlines).

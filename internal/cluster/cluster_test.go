@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -311,11 +313,13 @@ func TestAggregatorRejectsWrongShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reading the rejection frame frees the aggregator's reply write.
+	// Both ends run with one-second I/O deadlines; a timeout must not
+	// stand in for the rejection.
 	const want = "dim 512 != model dim 1024"
-	if err := w.Pull(a); err == nil || !strings.Contains(err.Error(), want) {
+	if err := w.Pull(a); err == nil || errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("worker Pull error %v, want %q", err, want)
 	}
-	if err := <-done; err == nil || !strings.Contains(err.Error(), want) {
+	if err := <-done; err == nil || errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("ServeOne error %v, want %q", err, want)
 	}
 	_ = a.Close()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"net"
 	"testing"
+	"time"
 
 	"edgehd/internal/telemetry"
 )
@@ -84,6 +85,8 @@ func TestFederatedUntracedRecordsNoSpans(t *testing.T) {
 func TestPushPullUntracedFrameInterop(t *testing.T) {
 	spec, shards, _ := shardedDataset(t, "APRI", 1, 60)
 	cfg := federatedConfig(spec, 500)
+	// Both ends arm this deadline on the pipe around every frame.
+	cfg.IOTimeout = time.Second
 	w, err := NewWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +102,7 @@ func TestPushPullUntracedFrameInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg.SetIOTimeout(time.Second)
 	// No tracer on the aggregator: it must still read the traced frame
 	// and echo the context back on the broadcast.
 	release := make(chan struct{})

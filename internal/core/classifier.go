@@ -69,9 +69,6 @@ func NewClassifier(enc encoding.Encoder, k int) (*Classifier, error) {
 // keeps the exact sequential path.
 func (c *Classifier) SetPool(p *parallel.Pool) { c.pool = p }
 
-// Pool returns the attached parallel pool (nil means sequential).
-func (c *Classifier) Pool() *parallel.Pool { return c.pool }
-
 // Model exposes the underlying model (shared, not a copy) so the
 // hierarchy can transfer and aggregate it.
 func (c *Classifier) Model() *Model { return c.model }
@@ -132,12 +129,6 @@ func (c *Classifier) Predict(features []float64) int {
 func (c *Classifier) PredictConfidence(features []float64) (class int, conf float64) {
 	c.met.predictTotal.Add(1)
 	return c.model.Confidence(c.encode(features))
-}
-
-// Encode exposes the encoder so callers can ship query hypervectors up
-// the hierarchy.
-func (c *Classifier) Encode(features []float64) hdc.Bipolar {
-	return c.encode(features)
 }
 
 // Evaluate returns classification accuracy over a labelled test set,

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -30,9 +29,9 @@ type Sample struct {
 // Model holds k class hypervectors of a fixed dimensionality. The zero
 // value is unusable; construct with NewModel.
 //
-// Mutation (Add, SetClass, Retrain, Merge, ...) is single-writer and
+// Mutation (Add, SetClass, Retrain, ...) is single-writer and
 // must not overlap any other model access. Read-only classification
-// (Similarities, Classify, Predict, Confidence, Accuracy) is safe to
+// (Similarities, Classify, Predict, Confidence) is safe to
 // call concurrently: the lazily rebuilt normalization cache is guarded
 // by an atomic dirty flag and a mutex, which is what lets the parallel
 // engine fan predictions over worker goroutines.
@@ -87,13 +86,6 @@ func (m *Model) SetClass(i int, a hdc.Acc) error {
 // initial-training step C^i = Σ_j H^i_j.
 func (m *Model) Add(label int, h hdc.Bipolar) {
 	m.classHV[label].AddBipolar(h)
-	m.dirty.Store(true)
-}
-
-// AddAcc bundles a pre-accumulated hypervector (a batch hypervector or a
-// child's class hypervector of the same dimension) into class label.
-func (m *Model) AddAcc(label int, a hdc.Acc) {
-	m.classHV[label].AddAcc(a)
 	m.dirty.Store(true)
 }
 
@@ -221,56 +213,4 @@ func (m *Model) Retrain(samples []Sample, epochs int) RetrainStats {
 		}
 	}
 	return stats
-}
-
-// Accuracy returns the fraction of samples the model classifies
-// correctly.
-func (m *Model) Accuracy(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, s := range samples {
-		if m.Predict(s.HV) == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(samples))
-}
-
-// Merge adds every class hypervector of o into m; both models must have
-// identical shape. Same-dimension federation (e.g. STAR aggregation of
-// homogeneous end nodes) reduces to this single call — the property that
-// makes HD models trivially aggregatable where DNN/SVM are not (§II).
-func (m *Model) Merge(o *Model) error {
-	if o.dim != m.dim || o.classes != m.classes {
-		return errors.New("core: cannot merge models of different shape")
-	}
-	for i := range m.classHV {
-		m.classHV[i].AddAcc(o.classHV[i])
-	}
-	m.dirty.Store(true)
-	return nil
-}
-
-// Clone returns a deep copy of the model.
-func (m *Model) Clone() *Model {
-	c := &Model{dim: m.dim, classes: m.classes, classHV: make([]hdc.Acc, m.classes)}
-	c.dirty.Store(true)
-	for i := range m.classHV {
-		c.classHV[i] = m.classHV[i].Clone()
-	}
-	return c
-}
-
-// WireBytes returns the bytes needed to transmit the full model: k
-// accumulator hypervectors at 32 bits per dimension. This is what a
-// child sends its parent during hierarchical training instead of raw
-// data (§IV-B).
-func (m *Model) WireBytes() int {
-	total := 0
-	for _, c := range m.classHV {
-		total += c.WireBytes()
-	}
-	return total
 }

@@ -34,9 +34,6 @@ func NewResidual(d, k int) (*Residual, error) {
 	return r, nil
 }
 
-// Classes returns the number of classes.
-func (r *Residual) Classes() int { return len(r.res) }
-
 // Dim returns the hypervector dimensionality.
 func (r *Residual) Dim() int { return r.res[0].Dim() }
 
@@ -49,10 +46,6 @@ func (r *Residual) NegativeFeedback(predictedClass int, q hdc.Bipolar) {
 	r.count[predictedClass]++
 }
 
-// FeedbackCount returns the number of feedback events accumulated for
-// class i since the last Reset.
-func (r *Residual) FeedbackCount(i int) int { return r.count[i] }
-
 // TotalFeedback returns the number of feedback events accumulated across
 // all classes since the last Reset.
 func (r *Residual) TotalFeedback() int {
@@ -63,10 +56,6 @@ func (r *Residual) TotalFeedback() int {
 	return t
 }
 
-// Class returns a copy of class i's residual accumulator, e.g. to ship
-// it to a parent node.
-func (r *Residual) Class(i int) hdc.Acc { return r.res[i].Clone() }
-
 // AddAcc folds an externally produced residual (one received from a
 // child, after hierarchical encoding) into class i.
 func (r *Residual) AddAcc(i int, a hdc.Acc) error {
@@ -76,16 +65,6 @@ func (r *Residual) AddAcc(i int, a hdc.Acc) error {
 	r.res[i].AddAcc(a)
 	r.count[i]++
 	return nil
-}
-
-// IsZero reports whether no feedback has been accumulated.
-func (r *Residual) IsZero() bool {
-	for _, a := range r.res {
-		if !a.IsZero() {
-			return false
-		}
-	}
-	return true
 }
 
 // ApplyTo performs the model-update step (Fig 5b, step 2): subtract each
@@ -119,14 +98,4 @@ func (r *Residual) Reset() {
 		r.res[i].Reset()
 		r.count[i] = 0
 	}
-}
-
-// WireBytes returns the transfer cost of propagating all residuals: 32
-// bits per dimension per class.
-func (r *Residual) WireBytes() int {
-	total := 0
-	for _, a := range r.res {
-		total += a.WireBytes()
-	}
-	return total
 }

@@ -23,8 +23,8 @@ func TestResidualFeedbackApplied(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		res.NegativeFeedback(0, h)
 	}
-	if res.TotalFeedback() != 3 || res.FeedbackCount(0) != 3 {
-		t.Fatalf("feedback counters wrong: total=%d class0=%d", res.TotalFeedback(), res.FeedbackCount(0))
+	if res.TotalFeedback() != 3 || res.count[0] != 3 {
+		t.Fatalf("feedback counters wrong: total=%d class0=%d", res.TotalFeedback(), res.count[0])
 	}
 	if err := res.ApplyTo(m); err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestResidualFeedbackApplied(t *testing.T) {
 	if m.Predict(h) == 0 {
 		t.Fatal("negative feedback did not move the prediction away from class 0")
 	}
-	if !res.IsZero() || res.TotalFeedback() != 0 {
+	if !residualIsZero(res) || res.TotalFeedback() != 0 {
 		t.Fatal("ApplyTo did not reset the residuals")
 	}
 }
@@ -50,7 +50,7 @@ func TestResidualOnlineLearningImprovesAccuracy(t *testing.T) {
 		m.Add(s.Label, s.HV)
 	}
 	m.Retrain(offline, 5)
-	before := m.Accuracy(test)
+	before := accuracy(m, test)
 
 	res := must(NewResidual(dim, k))
 	for i, s := range online {
@@ -68,12 +68,12 @@ func TestResidualOnlineLearningImprovesAccuracy(t *testing.T) {
 			}
 		}
 	}
-	if !res.IsZero() {
+	if !residualIsZero(res) {
 		if err := res.ApplyTo(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := m.Accuracy(test)
+	after := accuracy(m, test)
 	if after <= before {
 		t.Fatalf("online negative feedback did not improve accuracy: %v → %v", before, after)
 	}
@@ -102,7 +102,7 @@ func TestResidualSnapshotDoesNotClear(t *testing.T) {
 	if snap[1].IsZero() {
 		t.Fatal("snapshot lost the feedback")
 	}
-	if res.IsZero() {
+	if residualIsZero(res) {
 		t.Fatal("Snapshot cleared the residuals")
 	}
 }
@@ -114,15 +114,8 @@ func TestResidualAddAccFromChild(t *testing.T) {
 	if err := res.AddAcc(1, child); err != nil {
 		t.Fatal(err)
 	}
-	if res.Class(1).IsZero() {
+	if res.res[1].IsZero() {
 		t.Fatal("child residual not folded in")
-	}
-}
-
-func TestResidualWireBytes(t *testing.T) {
-	res := must(NewResidual(1000, 3))
-	if got := res.WireBytes(); got != 3*4000 {
-		t.Fatalf("residual WireBytes = %d, want 12000", got)
 	}
 }
 
@@ -187,4 +180,14 @@ func TestClassifierFitValidation(t *testing.T) {
 	if _, err := clf.Evaluate([][]float64{{1, 2, 3, 4}}, nil); err == nil {
 		t.Fatal("Evaluate accepted mismatched rows/labels")
 	}
+}
+
+// residualIsZero reports whether no feedback is accumulated in r.
+func residualIsZero(r *Residual) bool {
+	for _, a := range r.res {
+		if !a.IsZero() {
+			return false
+		}
+	}
+	return true
 }

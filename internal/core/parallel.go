@@ -132,32 +132,3 @@ func (m *Model) RetrainParallel(samples []Sample, epochs int, p *parallel.Pool) 
 	}
 	return stats
 }
-
-// AccuracyParallel is Accuracy with predictions fanned over the pool;
-// per-chunk correct counts sum in chunk order, so the result matches
-// the sequential count exactly.
-func (m *Model) AccuracyParallel(p *parallel.Pool, samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	if p.Workers() <= 1 {
-		return m.Accuracy(samples)
-	}
-	m.normalized()
-	spans := parallel.Chunks(len(samples))
-	counts := make([]int, len(spans))
-	p.RunChunks("core_accuracy", spans, func(ci int, sp parallel.Span) {
-		c := 0
-		for i := sp.Lo; i < sp.Hi; i++ {
-			if m.Predict(samples[i].HV) == samples[i].Label {
-				c++
-			}
-		}
-		counts[ci] = c
-	})
-	correct := 0
-	for _, c := range counts {
-		correct += c
-	}
-	return float64(correct) / float64(len(samples))
-}

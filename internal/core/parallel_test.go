@@ -115,21 +115,36 @@ func TestRetrainParallelMatchesSequential(t *testing.T) {
 }
 
 func TestAccuracyParallelMatchesSequential(t *testing.T) {
-	const n, dim, k = 150, 256, 3
-	samples := synthSamples(t, n, dim, k, 31)
-	m, err := NewModel(dim, k)
-	if err != nil {
+	// Classifier.Evaluate counts correct predictions per chunk and sums
+	// the counts in chunk order, so every worker count reproduces the
+	// sequential count exactly.
+	const rows, n, k = 150, 8, 3
+	r := rng.New(31)
+	xs := make([][]float64, rows)
+	ys := make([]int, rows)
+	for i := range xs {
+		ys[i] = i % k
+		xs[i] = r.NormVec(n, nil)
+		xs[i][ys[i]] += 1.5
+	}
+	clf := must(NewClassifier(newTestEncoder(n, 256, 32), k))
+	if _, err := clf.Fit(xs, ys, 3); err != nil {
 		t.Fatal(err)
 	}
-	m.AddAll(nil, samples)
-	m.Retrain(samples, 3)
-	want := m.Accuracy(samples)
-	for _, w := range []int{1, 2, 8} {
-		if got := m.AccuracyParallel(parallel.New(w), samples); got != want {
-			t.Fatalf("AccuracyParallel workers=%d = %v, want %v", w, got, want)
+	correct := 0
+	for i, x := range xs {
+		if clf.Predict(x) == ys[i] {
+			correct++
 		}
 	}
-	if got := m.AccuracyParallel(parallel.New(4), nil); got != 0 {
-		t.Fatalf("AccuracyParallel on empty set = %v", got)
+	if correct == 0 || correct == rows {
+		t.Fatalf("setup: %d/%d correct, want a partial score", correct, rows)
+	}
+	want := float64(correct) / rows
+	for _, w := range []int{1, 2, 8} {
+		clf.SetPool(parallel.New(w))
+		if got, err := clf.Evaluate(xs, ys); err != nil || got != want {
+			t.Fatalf("Evaluate workers=%d = %v, %v; want %v", w, got, err, want)
+		}
 	}
 }

@@ -237,12 +237,3 @@ func Project(x []float64, features []int) []float64 {
 	}
 	return out
 }
-
-// ProjectAll applies Project to every row.
-func ProjectAll(xs [][]float64, features []int) [][]float64 {
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = Project(x, features)
-	}
-	return out
-}

@@ -184,9 +184,8 @@ func TestProject(t *testing.T) {
 	if got[0] != 40 || got[1] != 20 {
 		t.Fatalf("Project = %v", got)
 	}
-	all := ProjectAll([][]float64{x, {1, 2, 3, 4}}, []int{0, 2})
-	if all[1][1] != 3 {
-		t.Fatalf("ProjectAll = %v", all)
+	if got := Project([]float64{1, 2, 3, 4}, []int{0, 2}); got[1] != 3 {
+		t.Fatalf("Project = %v", got)
 	}
 }
 

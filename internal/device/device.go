@@ -1,8 +1,7 @@
 // Package device models the compute platforms of the paper's
 // hardware-in-the-loop evaluation (§V, §VI-A): the Kintex-7 KC705 FPGA
-// running the pipelined EdgeHD design, the GTX 1080 Ti GPU of the
-// central server, the Raspberry Pi 3B+ host of the end/gateway nodes,
-// and the i7-8700K CPU. Each profile converts an operation count into
+// running the pipelined EdgeHD design and the GTX 1080 Ti GPU of the
+// central server. Each profile converts an operation count into
 // latency (ops ÷ throughput) and energy (power × latency), which is all
 // the paper's speedup/energy-efficiency ratios depend on.
 //
@@ -12,8 +11,6 @@
 // dimensionality, the GPU draws ~250 W, and HD-FPGA is slower but ~3×
 // more energy-efficient than HD-GPU.
 package device
-
-import "fmt"
 
 // Profile describes one compute platform.
 type Profile struct {
@@ -59,44 +56,6 @@ func GPU() Profile {
 		StaticPower: 250,
 		PowerPerDim: 0,
 	}
-}
-
-// RPi returns the Raspberry Pi 3B+ host profile used by end and gateway
-// nodes for orchestration and as a software fallback.
-func RPi() Profile {
-	return Profile{
-		Name:        "RPi-3B+",
-		MACRate:     2e9,
-		OpRate:      8e9,
-		StaticPower: 3.7,
-		PowerPerDim: 0,
-	}
-}
-
-// CPU returns the i7-8700K server CPU profile.
-func CPU() Profile {
-	return Profile{
-		Name:        "CPU-i7-8700K",
-		MACRate:     1e11,
-		OpRate:      4e11,
-		StaticPower: 95,
-		PowerPerDim: 0,
-	}
-}
-
-// Profiles returns all built-in device profiles.
-func Profiles() []Profile {
-	return []Profile{FPGA(), GPU(), RPi(), CPU()}
-}
-
-// ByName looks up a built-in profile.
-func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("device: unknown profile %q", name)
 }
 
 // Power returns the draw in watts while processing hypervectors of the

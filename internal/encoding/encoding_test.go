@@ -61,9 +61,6 @@ func TestNonlinearDimAndFeatures(t *testing.T) {
 	if e.Dim() != 100 || e.NumFeatures() != 5 {
 		t.Fatalf("Dim/NumFeatures = %d/%d", e.Dim(), e.NumFeatures())
 	}
-	if e.MACsPerEncode() != 500 {
-		t.Fatalf("MACsPerEncode = %d, want 500", e.MACsPerEncode())
-	}
 }
 
 func TestNonlinearWrongFeatureCountPanics(t *testing.T) {
@@ -91,18 +88,36 @@ func TestRFFApproximatesGaussianKernel(t *testing.T) {
 		for i := range zx {
 			approx += zx[i] * zy[i]
 		}
-		exact := e.Kernel(x, y)
+		exact := gaussianKernel(e, x, y)
 		if math.Abs(approx-exact) > 0.06 {
 			t.Fatalf("trial %d: RFF dot %v vs kernel %v", trial, approx, exact)
 		}
 	}
 }
 
+// gaussianKernel returns the exact RBF kernel exp(−‖x−y‖²/(2ℓ²)) that
+// e's map approximates.
+func gaussianKernel(e *RFF, x, y []float64) float64 {
+	var d2 float64
+	for i := range x {
+		diff := x[i] - y[i]
+		d2 += diff * diff
+	}
+	return math.Exp(-d2 / (2 * e.lengthScale * e.lengthScale))
+}
+
 func TestRFFSelfKernelIsOne(t *testing.T) {
 	e := must(NewRFF(4, 2048, 3, 0))
 	x := randFeatures(rng.New(9), 4)
-	if k := e.Kernel(x, x); k != 1 {
+	if k := gaussianKernel(e, x, x); k != 1 {
 		t.Fatalf("self kernel = %v", k)
+	}
+	var self float64
+	for _, v := range e.Map(x) {
+		self += v * v
+	}
+	if math.Abs(self-1) > 0.05 {
+		t.Fatalf("RFF self inner product = %v, want ≈ 1", self)
 	}
 }
 
@@ -126,34 +141,35 @@ func TestSparseMatchesDenseStatistics(t *testing.T) {
 
 func TestSparseWindowSize(t *testing.T) {
 	e := must(NewSparse(500, 64, 1, SparseConfig{Sparsity: 0.8}))
-	if e.Window() != 100 {
-		t.Fatalf("window = %d, want 100", e.Window())
+	if e.window != 100 {
+		t.Fatalf("window = %d, want 100", e.window)
 	}
 	if e.MACsPerEncode() != 64*100 {
 		t.Fatalf("MACsPerEncode = %d", e.MACsPerEncode())
 	}
-	if e.Sparsity() != 0.8 {
-		t.Fatalf("Sparsity = %v", e.Sparsity())
+	if e.sparsity != 0.8 {
+		t.Fatalf("sparsity = %v", e.sparsity)
 	}
 	// Small feature counts hit the window floor instead.
 	floored := must(NewSparse(100, 64, 1, SparseConfig{Sparsity: 0.8}))
-	if floored.Window() != 32 {
-		t.Fatalf("floored window = %d, want 32", floored.Window())
+	if floored.window != 32 {
+		t.Fatalf("floored window = %d, want 32", floored.window)
 	}
 }
 
 func TestSparseWindowAtLeastOne(t *testing.T) {
 	e := must(NewSparse(2, 16, 1, SparseConfig{Sparsity: 0.9}))
-	if e.Window() < 1 {
-		t.Fatalf("window = %d", e.Window())
+	if e.window < 1 {
+		t.Fatalf("window = %d", e.window)
 	}
 	e.Encode([]float64{1, 2}) // must not panic
 }
 
 func TestSparseMACSavings(t *testing.T) {
-	dense := must(NewNonlinear(500, 512, 1, NonlinearConfig{}))
+	// A dense encoding performs one length-500 dot product per output.
+	const denseMACs = 512 * 500
 	sparse := must(NewSparse(500, 512, 1, SparseConfig{Sparsity: 0.8}))
-	if ratio := float64(dense.MACsPerEncode()) / float64(sparse.MACsPerEncode()); math.Abs(ratio-5) > 0.01 {
+	if ratio := float64(denseMACs) / float64(sparse.MACsPerEncode()); math.Abs(ratio-5) > 0.01 {
 		t.Fatalf("80%% sparsity should cut MACs 5×, got %v×", ratio)
 	}
 }
@@ -174,8 +190,8 @@ func TestLinearQuantize(t *testing.T) {
 func TestLinearLevelChainCorrelation(t *testing.T) {
 	e := must(NewLinear(4, 4096, 2, LinearConfig{Levels: 8}))
 	// Adjacent levels similar, extremes quasi-orthogonal.
-	adj := e.LevelSimilarity(3, 4)
-	ext := e.LevelSimilarity(0, 7)
+	adj := e.levelHVs[3].Cosine(e.levelHVs[4])
+	ext := e.levelHVs[0].Cosine(e.levelHVs[7])
 	if adj < 0.7 {
 		t.Fatalf("adjacent level similarity = %v, want > 0.7", adj)
 	}
@@ -185,7 +201,7 @@ func TestLinearLevelChainCorrelation(t *testing.T) {
 	// Similarity decreases monotonically with level distance from 0.
 	prev := 1.0
 	for l := 1; l < 8; l++ {
-		s := e.LevelSimilarity(0, l)
+		s := e.levelHVs[0].Cosine(e.levelHVs[l])
 		if s > prev+1e-9 {
 			t.Fatalf("level similarity not monotone at level %d: %v > %v", l, s, prev)
 		}

@@ -57,9 +57,6 @@ func NewImage2D(w, h, d int, seed uint64, lengthScale float64) (*Image2D, error)
 // Dim returns the hypervector dimensionality.
 func (e *Image2D) Dim() int { return e.d }
 
-// Size returns the expected image width and height.
-func (e *Image2D) Size() (w, h int) { return e.w, e.h }
-
 // NumFeatures returns the flattened pixel count w·h, making Image2D a
 // full Encoder so image pipelines ride the same EncodeBatch path as the
 // vector encoders.

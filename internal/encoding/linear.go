@@ -99,9 +99,6 @@ func (e *Linear) Dim() int { return e.d }
 // NumFeatures implements Encoder.
 func (e *Linear) NumFeatures() int { return e.n }
 
-// Levels returns the number of quantization levels Q.
-func (e *Linear) Levels() int { return e.levels }
-
 // Quantize maps a raw value to its level index, clamping to the range.
 func (e *Linear) Quantize(v float64) int {
 	if v <= e.lo {
@@ -125,10 +122,4 @@ func (e *Linear) Encode(features []float64) hdc.Bipolar {
 		acc.AddBipolar(e.ids[i].Bind(e.levelHVs[e.Quantize(f)]))
 	}
 	return acc.Sign()
-}
-
-// LevelSimilarity returns the cosine similarity between two level
-// hypervectors, exposed for tests of the correlated-chain property.
-func (e *Linear) LevelSimilarity(a, b int) float64 {
-	return e.levelHVs[a].Cosine(e.levelHVs[b])
 }

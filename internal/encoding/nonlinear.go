@@ -91,10 +91,3 @@ func (e *Nonlinear) EncodeFloat(features []float64) []float64 {
 func (e *Nonlinear) Encode(features []float64) hdc.Bipolar {
 	return hdc.FromSigns(e.EncodeFloat(features))
 }
-
-// MACsPerEncode returns the number of multiply-accumulate operations one
-// encoding performs (d dot products of length n). The device models use
-// it to convert work into latency and energy.
-func (e *Nonlinear) MACsPerEncode() int64 {
-	return int64(e.d) * int64(e.n)
-}

@@ -53,12 +53,6 @@ func NewRFF(n, d int, seed uint64, lengthScale float64) (*RFF, error) {
 	return e, nil
 }
 
-// Dim returns the output feature count D.
-func (e *RFF) Dim() int { return e.d }
-
-// NumFeatures returns the input feature count n.
-func (e *RFF) NumFeatures() int { return e.n }
-
 // Map computes H_D(F).
 func (e *RFF) Map(features []float64) []float64 {
 	checkFeatures(len(features), e.n)
@@ -72,17 +66,4 @@ func (e *RFF) Map(features []float64) []float64 {
 		out[i] = scale * math.Cos(dot+e.biases[i])
 	}
 	return out
-}
-
-// Kernel returns the exact RBF kernel value exp(−‖x−y‖²/(2ℓ²)) that the
-// map approximates, for validation.
-func (e *RFF) Kernel(x, y []float64) float64 {
-	checkFeatures(len(x), e.n)
-	checkFeatures(len(y), e.n)
-	var d2 float64
-	for i := range x {
-		diff := x[i] - y[i]
-		d2 += diff * diff
-	}
-	return math.Exp(-d2 / (2 * e.lengthScale * e.lengthScale))
 }

@@ -101,12 +101,6 @@ func (e *Sparse) Dim() int { return e.d }
 // NumFeatures implements Encoder.
 func (e *Sparse) NumFeatures() int { return e.n }
 
-// Window returns the number of non-zero weights per row.
-func (e *Sparse) Window() int { return e.window }
-
-// Sparsity returns the configured sparsity factor s.
-func (e *Sparse) Sparsity() float64 { return e.sparsity }
-
 // EncodeFloat returns the pre-binarization encoding. The window wraps
 // around the end of the feature vector, so every row reads exactly
 // `window` consecutive (mod n) features, matching the sequential BRAM

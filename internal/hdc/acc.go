@@ -1,9 +1,6 @@
 package hdc
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Acc is an integer accumulator hypervector: the result of bundling
 // (element-wise adding) many bipolar hypervectors. Class hypervectors,
@@ -147,13 +144,6 @@ func (a Acc) SubAcc(o Acc) {
 	}
 }
 
-// Scale multiplies every component by k.
-func (a Acc) Scale(k int32) {
-	for i := range a.v {
-		a.v[i] *= k
-	}
-}
-
 // Reset zeroes the accumulator in place (residual hypervectors are
 // cleared after each propagation).
 func (a Acc) Reset() {
@@ -217,36 +207,9 @@ func (a Acc) DotAcc(o Acc) int64 {
 	return dot
 }
 
-// CosineBipolar returns the cosine similarity between the accumulator
-// and a bipolar query.
-func (a Acc) CosineBipolar(q Bipolar) float64 {
-	n := a.Norm()
-	if n == 0 || len(a.v) == 0 {
-		return 0
-	}
-	return float64(a.DotBipolar(q)) / (n * math.Sqrt(float64(len(a.v))))
-}
-
-// CosineAcc returns the cosine similarity with another accumulator.
-func (a Acc) CosineAcc(o Acc) float64 {
-	na, no := a.Norm(), o.Norm()
-	if na == 0 || no == 0 {
-		return 0
-	}
-	return float64(a.DotAcc(o)) / (na * no)
-}
-
 // Ints exposes a copy of the raw components for serialization.
 func (a Acc) Ints() []int32 {
 	return append([]int32(nil), a.v...)
-}
-
-// Slice returns a copy of components [lo, hi) as a new accumulator.
-func (a Acc) Slice(lo, hi int) Acc {
-	if lo < 0 || hi > len(a.v) || lo > hi {
-		panic(fmt.Sprintf("hdc: slice [%d,%d) out of range for dim %d", lo, hi, len(a.v)))
-	}
-	return AccFromInts(a.v[lo:hi])
 }
 
 // ConcatAcc concatenates accumulators in order; parents use it when

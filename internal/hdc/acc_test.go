@@ -64,31 +64,6 @@ func TestDotBipolarMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestCosineBipolarBounds(t *testing.T) {
-	r := rng.New(4)
-	a := NewAcc(500)
-	for i := 0; i < 7; i++ {
-		a.AddBipolar(RandomBipolar(500, r))
-	}
-	q := RandomBipolar(500, r)
-	c := a.CosineBipolar(q)
-	if c < -1.000001 || c > 1.000001 {
-		t.Fatalf("cosine out of bounds: %v", c)
-	}
-	// Cosine with its own sign should be strongly positive.
-	if cs := a.CosineBipolar(a.Sign()); cs < 0.5 {
-		t.Fatalf("cosine with own sign = %v, want > 0.5", cs)
-	}
-}
-
-func TestZeroAccCosine(t *testing.T) {
-	a := NewAcc(64)
-	q := NewBipolar(64)
-	if c := a.CosineBipolar(q); c != 0 {
-		t.Fatalf("zero accumulator cosine = %v, want 0", c)
-	}
-}
-
 func TestAddSubAcc(t *testing.T) {
 	a := AccFromInts([]int32{1, 2, 3})
 	b := AccFromInts([]int32{10, 20, 30})
@@ -103,15 +78,8 @@ func TestAddSubAcc(t *testing.T) {
 	}
 }
 
-func TestScaleAndReset(t *testing.T) {
+func TestReset(t *testing.T) {
 	a := AccFromInts([]int32{1, -2, 3})
-	a.Scale(-3)
-	want := []int32{-3, 6, -9}
-	for i, w := range want {
-		if a.Get(i) != w {
-			t.Fatalf("Scale: component %d = %d, want %d", i, a.Get(i), w)
-		}
-	}
 	a.Reset()
 	if !a.IsZero() {
 		t.Fatal("Reset did not zero the accumulator")
@@ -188,14 +156,6 @@ func TestConcatAcc(t *testing.T) {
 	}
 }
 
-func TestAccSlice(t *testing.T) {
-	a := AccFromInts([]int32{1, 2, 3, 4})
-	s := a.Slice(1, 3)
-	if s.Dim() != 2 || s.Get(0) != 2 || s.Get(1) != 3 {
-		t.Fatalf("Slice wrong: %v", s.Ints())
-	}
-}
-
 func TestAccWireBytes(t *testing.T) {
 	if got := NewAcc(1000).WireBytes(); got != 4000 {
 		t.Fatalf("Acc WireBytes = %d, want 4000", got)
@@ -205,7 +165,7 @@ func TestAccWireBytes(t *testing.T) {
 func TestAccCloneIndependent(t *testing.T) {
 	a := AccFromInts([]int32{1, 2, 3})
 	c := a.Clone()
-	c.Scale(5)
+	c.AddAcc(a)
 	if a.Get(0) != 1 {
 		t.Fatal("Clone shares storage with the original")
 	}

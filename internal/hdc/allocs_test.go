@@ -15,7 +15,7 @@ func TestAllocs(t *testing.T) {
 	a, b, pos := RandomBipolar(d, r), RandomBipolar(d, r), RandomBipolar(d, r)
 	acc := NewAcc(d)
 	acc.AddBipolar(a)
-	va, vb := a.Signs(), b.Signs()
+	va, vb := signs(a), signs(b)
 	for _, tc := range []struct {
 		name    string
 		ceiling float64

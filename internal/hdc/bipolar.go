@@ -2,7 +2,6 @@ package hdc
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"edgehd/internal/rng"
@@ -130,21 +129,6 @@ func (b Bipolar) Cosine(o Bipolar) float64 {
 	return float64(b.Dot(o)) / float64(b.dim)
 }
 
-// Slice returns the sub-hypervector of components [lo, hi). It copies;
-// the result does not alias b.
-func (b Bipolar) Slice(lo, hi int) Bipolar {
-	if lo < 0 || hi > b.dim || lo > hi {
-		panic(fmt.Sprintf("hdc: slice [%d,%d) out of range for dim %d", lo, hi, b.dim))
-	}
-	out := NewBipolar(hi - lo)
-	for i := lo; i < hi; i++ {
-		if b.words[i/64]&(1<<(uint(i)%64)) != 0 {
-			out.words[(i-lo)/64] |= 1 << (uint(i-lo) % 64)
-		}
-	}
-	return out
-}
-
 // ConcatBipolar concatenates the given hypervectors in order, the first
 // stage of hierarchical encoding (Fig 4a).
 func ConcatBipolar(vs ...Bipolar) Bipolar {
@@ -178,22 +162,6 @@ func (b Bipolar) FlipBits(p float64, r *rng.Source) Bipolar {
 	return out
 }
 
-// Erase models losing each component independently with probability p
-// during transmission (§VI-F): a lost ±1 component carries no
-// information, so the receiver sees an unbiased coin flip in its place
-// (each lost bit is flipped with probability 1/2). This is the erasure
-// channel the robustness evaluation injects; contrast with FlipBits,
-// which inverts bits and destroys strictly more information.
-func (b Bipolar) Erase(p float64, r *rng.Source) Bipolar {
-	out := b.Clone()
-	for i := 0; i < b.dim; i++ {
-		if r.Bernoulli(p) && r.Bernoulli(0.5) {
-			out.words[i/64] ^= 1 << (uint(i) % 64)
-		}
-	}
-	return out
-}
-
 // EraseBursts models packet loss: contiguous runs of `burst` components
 // are erased (coin-flipped) at random offsets until about fraction p of
 // the vector has been hit. Real links lose whole packets, not isolated
@@ -221,16 +189,6 @@ func (b Bipolar) EraseBursts(p float64, burst int, r *rng.Source) Bipolar {
 				out.words[i/64] ^= 1 << (uint(i) % 64)
 			}
 		}
-	}
-	return out
-}
-
-// Signs expands the packed representation into a ±1 float64 slice,
-// useful for interoperating with the float encoder paths and for tests.
-func (b Bipolar) Signs() []float64 {
-	out := make([]float64, b.dim)
-	for i := range out {
-		out[i] = float64(b.Get(i))
 	}
 	return out
 }
@@ -297,22 +255,4 @@ func mustSameDim(a, b int) {
 	if a != b {
 		panic(fmt.Sprintf("hdc: dimension mismatch %d vs %d", a, b))
 	}
-}
-
-// MeanAbsCosine returns the average |cosine| similarity between
-// successive pairs of n random bipolar hypervectors of dimension d; it
-// quantifies quasi-orthogonality (≈ sqrt(2/(π·d)) for large d) and is
-// used by tests and the compression ablation.
-func MeanAbsCosine(d, n int, r *rng.Source) float64 {
-	if n < 2 {
-		return 0
-	}
-	prev := RandomBipolar(d, r)
-	sum := 0.0
-	for i := 1; i < n; i++ {
-		cur := RandomBipolar(d, r)
-		sum += math.Abs(prev.Cosine(cur))
-		prev = cur
-	}
-	return sum / float64(n-1)
 }

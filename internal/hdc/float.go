@@ -16,40 +16,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm returns the L2 norm of v.
-func Norm(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Cosine returns the cosine similarity between a and b, or 0 when either
-// is the zero vector.
-func Cosine(a, b []float64) float64 {
-	na, nb := Norm(a), Norm(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
-// Normalize returns v scaled to unit L2 norm (a copy; the zero vector is
-// returned unchanged).
-func Normalize(v []float64) []float64 {
-	out := make([]float64, len(v))
-	n := Norm(v)
-	if n == 0 {
-		copy(out, v)
-		return out
-	}
-	for i, x := range v {
-		out[i] = x / n
-	}
-	return out
-}
-
 // NormalizedAcc converts an accumulator to a unit-norm float vector,
 // the §V-B trick that turns cosine similarity into a plain dot product
 // at inference time.

@@ -13,36 +13,8 @@ func TestDotAndNorm(t *testing.T) {
 	if got := Dot(a, b); got != 12 {
 		t.Fatalf("Dot = %v, want 12", got)
 	}
-	if got := Norm([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
+	if got := AccFromInts([]int32{3, 4}).Norm(); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("Norm = %v, want 5", got)
-	}
-}
-
-func TestCosineIdentityAndOpposite(t *testing.T) {
-	v := []float64{1, -2, 0.5}
-	if c := Cosine(v, v); math.Abs(c-1) > 1e-12 {
-		t.Fatalf("self cosine = %v", c)
-	}
-	neg := []float64{-1, 2, -0.5}
-	if c := Cosine(v, neg); math.Abs(c+1) > 1e-12 {
-		t.Fatalf("opposite cosine = %v", c)
-	}
-}
-
-func TestCosineZeroVector(t *testing.T) {
-	if c := Cosine([]float64{0, 0}, []float64{1, 1}); c != 0 {
-		t.Fatalf("zero-vector cosine = %v, want 0", c)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	v := Normalize([]float64{3, 4})
-	if math.Abs(Norm(v)-1) > 1e-12 {
-		t.Fatalf("normalized norm = %v", Norm(v))
-	}
-	z := Normalize([]float64{0, 0})
-	if z[0] != 0 || z[1] != 0 {
-		t.Fatal("normalizing zero vector should return zero vector")
 	}
 }
 
@@ -53,8 +25,8 @@ func TestNormalizedAccUnitNorm(t *testing.T) {
 		a.AddBipolar(RandomBipolar(300, r))
 	}
 	v := NormalizedAcc(a)
-	if math.Abs(Norm(v)-1) > 1e-9 {
-		t.Fatalf("NormalizedAcc norm = %v", Norm(v))
+	if n := math.Sqrt(Dot(v, v)); math.Abs(n-1) > 1e-9 {
+		t.Fatalf("NormalizedAcc norm = %v", n)
 	}
 }
 
@@ -62,7 +34,7 @@ func TestDotSignsMatchesExpansion(t *testing.T) {
 	r := rng.New(2)
 	v := r.NormVec(129, nil)
 	q := RandomBipolar(129, r)
-	want := Dot(v, q.Signs())
+	want := Dot(v, signs(q))
 	if got := DotSigns(v, q); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("DotSigns = %v, expanded = %v", got, want)
 	}

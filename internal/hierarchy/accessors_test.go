@@ -43,7 +43,7 @@ func TestAssocOpsScalesWithDim(t *testing.T) {
 		t.Fatalf("central search (%d ops) should exceed leaf search (%d ops)", central, leaf)
 	}
 	// k+1 passes over the node's dimensionality.
-	if want := int64(sys.Classes()+1) * int64(sys.NodeDim(topo.Central)); central != want {
+	if want := int64(sys.classes+1) * int64(sys.NodeDim(topo.Central)); central != want {
 		t.Fatalf("central AssocOps = %d, want %d", central, want)
 	}
 }

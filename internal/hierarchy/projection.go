@@ -72,12 +72,6 @@ func (p *Projection) dimError(got int) error {
 	return fmt.Errorf("hierarchy: projecting dim %d through %d→%d", got, p.inDim, p.outDim)
 }
 
-// InDim returns the expected concatenated input dimensionality.
-func (p *Projection) InDim() int { return p.inDim }
-
-// OutDim returns the output dimensionality.
-func (p *Projection) OutDim() int { return p.outDim }
-
 // FanIn returns the number of inputs mixed per output dimension.
 func (p *Projection) FanIn() int { return p.fanIn }
 

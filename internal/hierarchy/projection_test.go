@@ -41,8 +41,8 @@ func mustAcc(t *testing.T, p *Projection, in hdc.Acc) hdc.Acc {
 
 func TestProjectionDims(t *testing.T) {
 	p := mustProjection(t, 100, 60, 16, 1)
-	if p.InDim() != 100 || p.OutDim() != 60 || p.FanIn() != 16 {
-		t.Fatalf("projection shape %d→%d fanIn %d", p.InDim(), p.OutDim(), p.FanIn())
+	if p.inDim != 100 || p.outDim != 60 || p.FanIn() != 16 {
+		t.Fatalf("projection shape %d→%d fanIn %d", p.inDim, p.outDim, p.FanIn())
 	}
 	if p.Ops() != 60*16 {
 		t.Fatalf("Ops = %d", p.Ops())

@@ -262,9 +262,6 @@ func (s *System) depthOrder() []*node {
 	return out
 }
 
-// Classes returns the class count.
-func (s *System) Classes() int { return s.classes }
-
 // Config returns the resolved configuration.
 func (s *System) Config() Config { return s.cfg }
 

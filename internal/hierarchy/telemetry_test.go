@@ -117,7 +117,7 @@ func TestTrainAndResidualSpansRecorded(t *testing.T) {
 	}
 
 	// Feed one wrong prediction back and sweep residuals.
-	if _, err := sys.NegativeFeedbackBroadcast(0, d.TrainX[0], (d.TrainY[0]+1)%sys.Classes()); err != nil {
+	if _, err := sys.NegativeFeedbackBroadcast(0, d.TrainX[0], (d.TrainY[0]+1)%sys.classes); err != nil {
 		t.Fatal(err)
 	}
 	orep, err := sys.PropagateResiduals()

@@ -67,7 +67,7 @@ func (n *Network) ScheduleLoss(child NodeID, w Window) error {
 // LossRateAt returns the per-bit corruption probability on the child's
 // uplink at simulation time t: the most recently scheduled window
 // covering t, else the static rate. Nodes without an uplink (or out of
-// range) report 0, matching LossRate.
+// range) report 0.
 func (n *Network) LossRateAt(child NodeID, t float64) float64 {
 	li, err := n.uplinkIndex(child)
 	if err != nil {
@@ -136,19 +136,6 @@ func (n *Network) SetDelayFactor(child NodeID, f float64) error {
 	n.links[li].delayFactor = f
 	n.log.Info("uplink delay factor set", "node", n.names[child], "factor", f)
 	return nil
-}
-
-// DelayFactor returns the child's uplink delay multiplier (1 when unset
-// or when the node has no uplink).
-func (n *Network) DelayFactor(child NodeID) float64 {
-	li, err := n.uplinkIndex(child)
-	if err != nil {
-		return 1
-	}
-	if f := n.links[li].delayFactor; f > 0 {
-		return f
-	}
-	return 1
 }
 
 // SetDown marks a node departed (or returned): Send refuses any path

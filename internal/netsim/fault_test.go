@@ -18,6 +18,16 @@ func pair(t *testing.T) (*Network, NodeID, NodeID) {
 	return n, root, leaf
 }
 
+// uplink returns the child's uplink state, which the fault knobs write.
+func uplink(t *testing.T, n *Network, child NodeID) *link {
+	t.Helper()
+	li, err := n.uplinkIndex(child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &n.links[li]
+}
+
 func TestSetLossRateEdgeCases(t *testing.T) {
 	n, root, leaf := pair(t)
 	cases := []struct {
@@ -47,8 +57,8 @@ func TestSetLossRateEdgeCases(t *testing.T) {
 		})
 	}
 	// Lookups on hostile IDs must not panic and must report the zero value.
-	if got := n.LossRate(NodeID(99)); got != 0 {
-		t.Fatalf("LossRate(unknown) = %v", got)
+	if got := n.LossRateAt(NodeID(99), 5); got != 0 {
+		t.Fatalf("LossRateAt(unknown) = %v", got)
 	}
 	if got := n.LossRateAt(NodeID(-1), 5); got != 0 {
 		t.Fatalf("LossRateAt(negative) = %v", got)
@@ -116,8 +126,8 @@ func TestLossRateAtWindows(t *testing.T) {
 		}
 	}
 	// The static knob is unaffected by schedules.
-	if got := n.LossRate(leaf); got != 0.1 {
-		t.Fatalf("LossRate = %v, want 0.1", got)
+	if got := uplink(t, n, leaf).lossRate; got != 0.1 {
+		t.Fatalf("static loss rate = %v, want 0.1", got)
 	}
 }
 
@@ -185,14 +195,14 @@ func TestDelayFactorStragglers(t *testing.T) {
 	if err := n.SetDelayFactor(NodeID(77), 2); err == nil {
 		t.Fatal("SetDelayFactor(unknown) accepted, want error")
 	}
-	if got := n.DelayFactor(leaf); got != 1 {
-		t.Fatalf("default DelayFactor = %v, want 1", got)
+	if got := uplink(t, n, leaf).delayFactor; got != 0 {
+		t.Fatalf("default delay factor = %v, want 0 (unset)", got)
 	}
 	if err := n.SetDelayFactor(leaf, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.DelayFactor(leaf); got != 3 {
-		t.Fatalf("DelayFactor = %v, want 3", got)
+	if got := uplink(t, n, leaf).delayFactor; got != 3 {
+		t.Fatalf("delay factor = %v, want 3", got)
 	}
 	m := Wired1G()
 	arr, err := n.Send(leaf, root, 1000, 0)
@@ -288,13 +298,13 @@ func TestResetClearsFaultState(t *testing.T) {
 
 	n.Reset()
 
-	if got := n.LossRate(leaf); got != 0 {
+	if got := uplink(t, n, leaf).lossRate; got != 0 {
 		t.Fatalf("Reset kept static loss rate %v", got)
 	}
 	if got := n.LossRateAt(leaf, 50); got != 0 {
 		t.Fatalf("Reset kept loss schedule (rate %v at t=50)", got)
 	}
-	if got := n.DelayFactor(leaf); got != 1 {
+	if got := uplink(t, n, leaf).delayFactor; got != 0 {
 		t.Fatalf("Reset kept delay factor %v", got)
 	}
 	if n.IsDown(root) {

@@ -9,7 +9,6 @@
 package netsim
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -58,16 +57,6 @@ func Bluetooth4() Medium {
 // Mediums returns the five evaluation mediums in the order of Fig 11.
 func Mediums() []Medium {
 	return []Medium{Wired1G(), Wired500M(), WiFiAC(), WiFiN(), Bluetooth4()}
-}
-
-// MediumByName looks a medium up by its display name.
-func MediumByName(name string) (Medium, error) {
-	for _, m := range Mediums() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Medium{}, fmt.Errorf("netsim: unknown medium %q", name)
 }
 
 // TransferSeconds returns the serialization delay of moving n bytes over

@@ -19,16 +19,6 @@ func TestMediumsOrdering(t *testing.T) {
 	}
 }
 
-func TestMediumByName(t *testing.T) {
-	m, err := MediumByName("Bluetooth-4.0")
-	if err != nil || m.BandwidthBps != 1e6 {
-		t.Fatalf("MediumByName = %+v, %v", m, err)
-	}
-	if _, err := MediumByName("carrier-pigeon"); err == nil {
-		t.Fatal("unknown medium accepted")
-	}
-}
-
 func TestTransferSeconds(t *testing.T) {
 	m := Wired1G()
 	// 1 Gbps: 125 MB/s, so 125 MB should take 1 s.
@@ -76,8 +66,8 @@ func TestPathUpAndDepth(t *testing.T) {
 	if n.Depth(leaf) != 2 || n.Depth(root) != 0 {
 		t.Fatalf("depths: leaf=%d root=%d", n.Depth(leaf), n.Depth(root))
 	}
-	if n.Root(leaf) != root {
-		t.Fatal("Root(leaf) != root")
+	if n.Parent(root) != InvalidNode {
+		t.Fatal("root has a parent")
 	}
 	other := n.AddNode("other")
 	if _, err := n.PathUp(leaf, other); err == nil {
@@ -217,17 +207,14 @@ func TestLossRate(t *testing.T) {
 	if err := n.SetLossRate(leaf, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.LossRate(leaf); got != 0.3 {
-		t.Fatalf("LossRate = %v", got)
+	if got := uplink(t, n, leaf).lossRate; got != 0.3 {
+		t.Fatalf("loss rate = %v", got)
 	}
 	if err := n.SetLossRate(root, 0.3); err == nil {
 		t.Fatal("SetLossRate on root (no uplink) accepted")
 	}
 	if err := n.SetLossRate(leaf, 1.5); err == nil {
 		t.Fatal("out-of-range loss rate accepted")
-	}
-	if got := n.LossRate(root); got != 0 {
-		t.Fatalf("root LossRate = %v, want 0", got)
 	}
 }
 
@@ -303,7 +290,7 @@ func TestGroupedDepths(t *testing.T) {
 		}
 		// Every end node must reach the central node.
 		for _, e := range topo.EndNodes {
-			if topo.Net.Root(e) != topo.Central {
+			if _, err := topo.Net.PathUp(e, topo.Central); err != nil {
 				t.Fatal("end node disconnected from central")
 			}
 		}
@@ -327,9 +314,14 @@ func TestGroupedValidation(t *testing.T) {
 
 func TestLeavesAndChildren(t *testing.T) {
 	topo, _ := Tree(4, 2, Wired1G())
-	leaves := topo.Net.Leaves()
-	if len(leaves) != 4 {
-		t.Fatalf("leaves = %d", len(leaves))
+	leaves := 0
+	for id := 0; id < topo.Net.NumNodes(); id++ {
+		if len(topo.Net.Children(NodeID(id))) == 0 {
+			leaves++
+		}
+	}
+	if leaves != 4 {
+		t.Fatalf("leaves = %d", leaves)
 	}
 }
 
@@ -378,7 +370,7 @@ func TestGroupedSizesPecanShape(t *testing.T) {
 		t.Fatalf("streets = %d, want 4", streets)
 	}
 	for _, e := range topo.EndNodes {
-		if topo.Net.Root(e) != topo.Central {
+		if _, err := topo.Net.PathUp(e, topo.Central); err != nil {
 			t.Fatal("appliance not connected to the city node")
 		}
 		if d := topo.Net.Depth(e); d != 3 {

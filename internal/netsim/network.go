@@ -167,16 +167,6 @@ func (n *Network) SetLossRate(child NodeID, rate float64) error {
 	return nil
 }
 
-// LossRate returns the static per-bit corruption probability on the
-// child's uplink (0 when the node has no uplink or is out of range).
-func (n *Network) LossRate(child NodeID) float64 {
-	li, err := n.uplinkIndex(child)
-	if err != nil {
-		return 0
-	}
-	return n.links[li].lossRate
-}
-
 // PathUp returns the chain of node IDs from `from` up to `to`, both
 // inclusive; `to` must be an ancestor of `from` (or equal).
 func (n *Network) PathUp(from, to NodeID) ([]NodeID, error) {
@@ -201,38 +191,12 @@ func (n *Network) Depth(id NodeID) int {
 	return d
 }
 
-// Root returns the root above id.
-func (n *Network) Root(id NodeID) NodeID {
-	cur := id
-	for n.parent[cur] != InvalidNode {
-		cur = n.parent[cur]
-	}
-	return cur
-}
-
 // Children returns the direct children of id in insertion order.
 func (n *Network) Children(id NodeID) []NodeID {
 	var out []NodeID
 	for c, p := range n.parent {
 		if p == id {
 			out = append(out, NodeID(c))
-		}
-	}
-	return out
-}
-
-// Leaves returns all nodes without children, in insertion order.
-func (n *Network) Leaves() []NodeID {
-	hasChild := make([]bool, len(n.parent))
-	for _, p := range n.parent {
-		if p != InvalidNode {
-			hasChild[p] = true
-		}
-	}
-	var out []NodeID
-	for i, h := range hasChild {
-		if !h {
-			out = append(out, NodeID(i))
 		}
 	}
 	return out

@@ -11,9 +11,9 @@
 //  2. Workers write results into chunk-indexed slots; reductions
 //     consume those slots in fixed chunk order, never in completion
 //     order ([Pool.RunChunks], [Pool.SumAccs]).
-//  3. Randomness never crosses goroutines: callers derive one seeded
-//     sub-stream per chunk up front via [SubSources] (which wraps
-//     rng.Source.Split) and hand stream i to chunk i.
+//  3. Randomness never crosses goroutines: chunk work that needs random
+//     numbers gets its own seeded rng.Source, created before the
+//     fan-out.
 //
 // Under those rules the only parallel-order-dependent operation left is
 // integer accumulation, which is associative and commutative, so the
@@ -38,9 +38,6 @@ import (
 type Span struct {
 	Lo, Hi int
 }
-
-// Len returns the number of items in the span.
-func (s Span) Len() int { return s.Hi - s.Lo }
 
 // maxChunks caps how many chunks an input splits into. The cap is a
 // fixed constant — independent of GOMAXPROCS and of the pool's worker
@@ -73,23 +70,6 @@ func Chunks(n int) []Span {
 		}
 		spans[i] = Span{Lo: lo, Hi: hi}
 		lo = hi
-	}
-	return spans
-}
-
-// ChunksOf splits n work items into spans of at most size items each,
-// in index order. Like Chunks, the layout depends only on the inputs.
-func ChunksOf(n, size int) []Span {
-	if n <= 0 || size <= 0 {
-		return nil
-	}
-	spans := make([]Span, 0, (n+size-1)/size)
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		spans = append(spans, Span{Lo: lo, Hi: hi})
 	}
 	return spans
 }

@@ -32,7 +32,7 @@ func TestChunksCoverExactly(t *testing.T) {
 			if s.Lo != lo {
 				t.Fatalf("Chunks(%d)[%d].Lo = %d, want %d", n, i, s.Lo, lo)
 			}
-			if s.Len() < 1 {
+			if (s.Hi - s.Lo) < 1 {
 				t.Fatalf("Chunks(%d)[%d] empty", n, i)
 			}
 			lo = s.Hi
@@ -43,32 +43,16 @@ func TestChunksCoverExactly(t *testing.T) {
 		// Near-equal: sizes differ by at most one.
 		min, max := n, 0
 		for _, s := range spans {
-			if s.Len() < min {
-				min = s.Len()
+			if (s.Hi - s.Lo) < min {
+				min = (s.Hi - s.Lo)
 			}
-			if s.Len() > max {
-				max = s.Len()
+			if (s.Hi - s.Lo) > max {
+				max = (s.Hi - s.Lo)
 			}
 		}
 		if max-min > 1 {
 			t.Fatalf("Chunks(%d): chunk sizes range %d..%d", n, min, max)
 		}
-	}
-}
-
-func TestChunksOf(t *testing.T) {
-	spans := ChunksOf(10, 4)
-	want := []Span{{0, 4}, {4, 8}, {8, 10}}
-	if len(spans) != len(want) {
-		t.Fatalf("ChunksOf(10,4) = %v", spans)
-	}
-	for i := range want {
-		if spans[i] != want[i] {
-			t.Fatalf("ChunksOf(10,4)[%d] = %v, want %v", i, spans[i], want[i])
-		}
-	}
-	if ChunksOf(0, 4) != nil || ChunksOf(4, 0) != nil {
-		t.Fatal("degenerate ChunksOf should be nil")
 	}
 }
 
@@ -181,27 +165,6 @@ func TestSumAccsMatchesSequential(t *testing.T) {
 	var empty hdc.Acc
 	if got := New(2).SumAccs("test_reduce", nil); got.Dim() != empty.Dim() {
 		t.Fatalf("SumAccs(nil) dim %d", got.Dim())
-	}
-}
-
-func TestSubSourcesIndependentOfWorkerCount(t *testing.T) {
-	draw := func() [][]uint64 {
-		r := rng.New(99)
-		subs := SubSources(r, 8)
-		out := make([][]uint64, len(subs))
-		for i, s := range subs {
-			out[i] = []uint64{s.Uint64(), s.Uint64()}
-		}
-		return out
-	}
-	a, b := draw(), draw()
-	for i := range a {
-		if a[i][0] != b[i][0] || a[i][1] != b[i][1] {
-			t.Fatalf("sub-stream %d not reproducible", i)
-		}
-	}
-	if SubSources(rng.New(1), 0) != nil {
-		t.Fatal("SubSources(r, 0) should be nil")
 	}
 }
 

@@ -1,9 +1,6 @@
 package parallel
 
-import (
-	"edgehd/internal/hdc"
-	"edgehd/internal/rng"
-)
+import "edgehd/internal/hdc"
 
 // SumAccs reduces per-chunk partial accumulators into one total by an
 // ordered pairwise tree reduction: at every level, part 2i absorbs part
@@ -41,21 +38,4 @@ func (p *Pool) SumAccs(stage string, parts []hdc.Acc) hdc.Acc {
 		cur = next
 	}
 	return cur[0]
-}
-
-// SubSources derives n independent child streams from r by calling
-// Split n times in sequence. The derivation happens on the caller's
-// goroutine before any fan-out, so stream i is a pure function of (r's
-// state, i): chunk i always receives the same stream no matter how many
-// workers later consume the chunks. The parent stream advances
-// deterministically in the process.
-func SubSources(r *rng.Source, n int) []*rng.Source {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]*rng.Source, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
 }

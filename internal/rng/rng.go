@@ -15,8 +15,7 @@ package rng
 import "math"
 
 // Source is a deterministic pseudo-random source. It is not safe for
-// concurrent use; derive independent child sources with Split for
-// concurrent work.
+// concurrent use; give each goroutine its own seeded Source.
 type Source struct {
 	s0, s1, s2, s3 uint64
 
@@ -50,13 +49,6 @@ func (r *Source) Reseed(seed uint64) {
 	}
 	r.gauss = 0
 	r.hasGauss = false
-}
-
-// Split derives an independent child source. The child stream is
-// decorrelated from the parent's future output, letting callers hand
-// sub-seeds to goroutines or submodules without sharing state.
-func (r *Source) Split() *Source {
-	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -155,22 +147,6 @@ func (r *Source) Bipolar() int8 {
 		return -1
 	}
 	return 1
-}
-
-// Ternary returns −1, 0 or +1. zeroProb is the probability of 0; the
-// remaining mass is split evenly between −1 and +1. The hierarchical
-// encoder uses zeroProb = 1/3 for the dense projection and larger values
-// for sparse projections.
-func (r *Source) Ternary(zeroProb float64) int8 {
-	u := r.Float64()
-	switch {
-	case u < zeroProb:
-		return 0
-	case u < zeroProb+(1-zeroProb)/2:
-		return -1
-	default:
-		return 1
-	}
 }
 
 // Perm returns a random permutation of [0, n).

@@ -44,21 +44,6 @@ func TestReseedResets(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(3)
-	child := parent.Split()
-	// Child and parent streams should not be identical.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("parent and child streams collide too often: %d/100", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(11)
 	for i := 0; i < 10000; i++ {
@@ -153,42 +138,6 @@ func TestBipolarBalance(t *testing.T) {
 	}
 	if pos < n*45/100 || pos > n*55/100 {
 		t.Fatalf("Bipolar unbalanced: %d/%d positive", pos, n)
-	}
-}
-
-func TestTernaryDistribution(t *testing.T) {
-	r := New(32)
-	const n = 90000
-	var neg, zero, pos int
-	for i := 0; i < n; i++ {
-		switch r.Ternary(1.0 / 3.0) {
-		case -1:
-			neg++
-		case 0:
-			zero++
-		case 1:
-			pos++
-		}
-	}
-	third := n / 3
-	for name, c := range map[string]int{"-1": neg, "0": zero, "+1": pos} {
-		if c < third*9/10 || c > third*11/10 {
-			t.Fatalf("Ternary bucket %s skewed: %d (expected ~%d)", name, c, third)
-		}
-	}
-}
-
-func TestTernaryExtremes(t *testing.T) {
-	r := New(33)
-	for i := 0; i < 1000; i++ {
-		if v := r.Ternary(1.0); v != 0 {
-			t.Fatalf("Ternary(1.0) returned %d, want 0", v)
-		}
-	}
-	for i := 0; i < 1000; i++ {
-		if v := r.Ternary(0.0); v == 0 {
-			t.Fatal("Ternary(0.0) returned 0")
-		}
 	}
 }
 

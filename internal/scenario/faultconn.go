@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"edgehd/internal/rng"
 	"edgehd/internal/wire"
 )
 
@@ -45,26 +44,6 @@ type Plan func(frame int) Action
 
 // PassPlan forwards everything — the identity fault layer.
 func PassPlan(int) Action { return Pass }
-
-// SeededPlan draws one action per frame from a seeded stream, weighted
-// toward Pass so streams stay mostly decodable. Used by the fuzz
-// harness; named scenarios script exact plans instead.
-func SeededPlan(r *rng.Source) Plan {
-	return func(int) Action {
-		switch v := r.Intn(10); {
-		case v < 6:
-			return Pass
-		case v < 7:
-			return Duplicate
-		case v < 8:
-			return Hold
-		case v < 9:
-			return Truncate
-		default:
-			return Drop
-		}
-	}
-}
 
 // Wire framing geometry, mirrored from internal/wire: a fixed header
 // (type byte, payload length, class count, batch count), an optional

@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"edgehd/internal/hdc"
 	"edgehd/internal/telemetry"
@@ -233,8 +236,29 @@ func TestGateReleasesInScriptedOrder(t *testing.T) {
 	g.Pass(99)
 }
 
+// pipeDeadline bounds every read and write on the given pipe ends at one
+// second, so a hung transfer fails the test instead of stalling it.
+func pipeDeadline(t *testing.T, conns ...net.Conn) {
+	t.Helper()
+	for _, c := range conns {
+		if err := c.SetDeadline(time.Now().Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// notTimeout fails when err is a deadline expiry, so a timeout cannot
+// stand in for the rejection a test expects.
+func notTimeout(t *testing.T, what string, err error) {
+	t.Helper()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("%s: timed out instead of failing: %v", what, err)
+	}
+}
+
 func TestFaultConnRoundTrip(t *testing.T) {
 	client, server := net.Pipe()
+	pipeDeadline(t, client, server)
 	fc := NewFaultConn(client, 0, nil, nil)
 
 	msg := tracedMsg(128)
@@ -262,18 +286,25 @@ func TestFaultConnRoundTrip(t *testing.T) {
 	}
 	if _, err := wire.Read(server); err == nil {
 		t.Fatal("peer still readable after Close")
+	} else {
+		notTimeout(t, "peer read after Close", err)
 	}
 	if _, err := fc.Write([]byte("x")); err == nil {
 		t.Fatal("write accepted after Close")
+	} else {
+		notTimeout(t, "write after Close", err)
 	}
 }
 
 // TestFaultConnCloseWithSurplusFrame is the regression for the Close
 // ordering: a duplicated frame the peer never reads leaves the pump
 // blocked inside the synchronous pipe write, and Close must cut it
-// loose (by closing the inner conn first) instead of deadlocking.
+// loose (by closing the inner conn first) instead of deadlocking. The
+// inner end gets no deadline, which would release the pump by itself;
+// Close instead has one second to return.
 func TestFaultConnCloseWithSurplusFrame(t *testing.T) {
 	client, server := net.Pipe()
+	pipeDeadline(t, server)
 	fc := NewFaultConn(client, 0, func(int) Action { return Duplicate }, nil)
 
 	errc := make(chan error, 1)
@@ -285,8 +316,15 @@ func TestFaultConnCloseWithSurplusFrame(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	// The second copy is in flight and will never be read.
-	if err := fc.Close(); err != nil {
-		t.Fatalf("close with surplus frame in flight: %v", err)
+	closed := make(chan error, 1)
+	go func() { closed <- fc.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close with surplus frame in flight: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close deadlocked with a surplus frame in flight")
 	}
 	st := fc.Stats()
 	if st.Duplicated != 1 || st.FramesOut != 2 {
@@ -296,6 +334,7 @@ func TestFaultConnCloseWithSurplusFrame(t *testing.T) {
 
 func TestFaultConnTruncateClosesPeerMidFrame(t *testing.T) {
 	client, server := net.Pipe()
+	pipeDeadline(t, client, server)
 	fc := NewFaultConn(client, 0, func(int) Action { return Truncate }, nil)
 	defer fc.Close()
 
@@ -305,6 +344,8 @@ func TestFaultConnTruncateClosesPeerMidFrame(t *testing.T) {
 		t.Fatal("peer decoded a truncated frame")
 	} else if err == io.EOF {
 		t.Fatal("peer saw clean EOF, want mid-frame cut")
+	} else {
+		notTimeout(t, "truncated frame read", err)
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("local write failed: %v", err)

@@ -11,7 +11,7 @@ import (
 // The named scenario matrix. Each entry is a declarative script over
 // the engine's virtual clock (inject at FaultFrom, measure mid-window,
 // clear at FaultTo, probe recovery after); floors are calibrated
-// against DefaultParams, where every figure is deterministic.
+// against the default Params, where every figure is deterministic.
 
 // catchUp scripts the online path a rejoined node uses to resynchronize:
 // route a few samples through confidence-routed inference, broadcast

@@ -44,9 +44,6 @@ type Params struct {
 	RetrainEpochs int
 }
 
-// DefaultParams is the canonical smoke shape (see Params).
-func DefaultParams() Params { return Params{}.withDefaults() }
-
 func (p Params) withDefaults() Params {
 	if p.Dataset == "" {
 		p.Dataset = "PDP"
@@ -167,7 +164,7 @@ type Scenario struct {
 	SameGlobal bool
 	// CleanFloor / FaultFloor / RecoveryFloor are the accuracy floors
 	// for the clean baseline, the mid-fault probe, and the recovery
-	// probes. Calibrated against DefaultParams.
+	// probes. Calibrated against the default Params.
 	CleanFloor, FaultFloor, RecoveryFloor float64
 	// RecoverWithin bounds recovery: some probe in the RecoverWithin
 	// steps after FaultTo must reach RecoveryFloor. Default 3.

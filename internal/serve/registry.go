@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -67,33 +66,4 @@ func (r *Registry) Set(tenant string, model Model) error {
 	next[tenant] = model
 	r.models.Store(&next)
 	return nil
-}
-
-// Drop unpublishes tenant's model. Queries already holding a snapshot
-// finish; new queries for the tenant are rejected.
-func (r *Registry) Drop(tenant string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := *r.models.Load()
-	if _, ok := old[tenant]; !ok {
-		return
-	}
-	next := make(map[string]Model, len(old))
-	for k, v := range old {
-		if k != tenant {
-			next[k] = v
-		}
-	}
-	r.models.Store(&next)
-}
-
-// Tenants returns the published tenant names in sorted order.
-func (r *Registry) Tenants() []string {
-	m := *r.models.Load()
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

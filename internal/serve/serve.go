@@ -191,7 +191,6 @@ type Server struct {
 	queueGauge *telemetry.Gauge
 	batchHist  *telemetry.Histogram
 	latHist    *telemetry.Histogram
-	slo        *telemetry.SLO
 }
 
 // NewServer validates cfg, registers the serve_* metric family, and
@@ -223,8 +222,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.queueGauge = reg.Gauge("serve_queue_depth")
 		s.batchHist = reg.Histogram("serve_batch_size")
 		s.latHist = reg.Histogram("serve_latency_seconds")
-		s.slo, err = telemetry.NewSLO(reg, "serve_latency", s.latHist, cfg.SLOObjective, cfg.SLOTarget)
-		if err != nil {
+		if _, err := telemetry.NewSLO(reg, "serve_latency", s.latHist, cfg.SLOObjective, cfg.SLOTarget); err != nil {
 			return nil, err
 		}
 	}
@@ -236,10 +234,6 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// SLO returns the serving latency SLO (nil without telemetry); callers
-// hook its Collect into their runtime collector cadence.
-func (s *Server) SLO() *telemetry.SLO { return s.slo }
-
 // Stats snapshots the query counters.
 func (s *Server) Stats() Stats {
 	return Stats{
@@ -248,15 +242,6 @@ func (s *Server) Stats() Stats {
 		Replied:  s.replied.Load(),
 		Batches:  s.batches.Load(),
 	}
-}
-
-// Ready is a telemetry.Health readiness check: an error while the
-// server is draining (or closed), nil while it accepts queries.
-func (s *Server) Ready() error {
-	if s.isDraining() {
-		return errors.New("serve: draining")
-	}
-	return nil
 }
 
 func (s *Server) isDraining() bool {
